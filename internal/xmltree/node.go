@@ -54,15 +54,16 @@ package xmltree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// NodeKind identifies which of the six XML node kinds a Node is.
-type NodeKind int
+// NodeKind identifies which of the six XML node kinds a Node is. It is a
+// byte so it packs beside Node's 4-byte shared flag.
+type NodeKind uint8
 
 // The six node kinds of the XML data model.
 const (
@@ -111,7 +112,6 @@ func (k NodeKind) String() string {
 // (they materialize lazy clones on demand); the scalar fields stay public
 // and are always populated eagerly.
 type Node struct {
-	Kind   NodeKind
 	Name   string // element/attribute name or PI target (as written, possibly prefix:local)
 	Data   string // text, comment or PI content, or attribute value
 	Parent *Node
@@ -127,6 +127,10 @@ type Node struct {
 	// its subtree must no longer be mutated. Used for typed-value caching
 	// eligibility and misuse diagnostics, not for correctness.
 	shared atomic.Bool
+	// Kind sits in the padding after the 4-byte shared flag, which keeps
+	// Node at 128 bytes (a size class of its own, and two per cache-line
+	// pair).
+	Kind NodeKind
 	// tv caches the node's string value; only ever populated on shared
 	// (frozen) nodes, whose string value can no longer legally change.
 	tv atomic.Pointer[string]
@@ -737,8 +741,9 @@ var pathPool = sync.Pool{New: func() any { return new([]int) }}
 // path appends the child-index path from the root to n onto buf (only the
 // appended suffix is touched, so buf can be a shared arena). Attribute nodes
 // sort just after their owner element and before its children, matching the
-// XQuery document-order rule.
-func (n *Node) path(buf []int) []int {
+// XQuery document-order rule. wide, when non-nil, answers child positions
+// under wide parents in O(1).
+func (n *Node) path(buf []int, wide *wideIndex) []int {
 	start := len(buf)
 	p := buf
 	for n.Parent != nil {
@@ -754,6 +759,8 @@ func (n *Node) path(buf []int) []int {
 			// Attributes order before children: index encodes position
 			// as a negative offset so attr i < child 0.
 			p = append(p, ai-len(par.attrs))
+		} else if wide != nil && par.NumChildren() > wideFanout {
+			p = append(p, wide.childIndex(par, n))
 		} else {
 			p = append(p, par.ChildIndex(n))
 		}
@@ -764,6 +771,34 @@ func (n *Node) path(buf []int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
+}
+
+// wideFanout is the child count above which SortDocOrder indexes a parent's
+// children instead of scanning them once per sorted node: sorting N
+// siblings of one parent would otherwise cost O(N²).
+const wideFanout = 32
+
+// wideIndex maps each child of every wide parent seen during one
+// SortDocOrder call to its position, built once per parent (a parent is
+// indexed once its first child is).
+type wideIndex struct {
+	pos map[*Node]int
+}
+
+func (w *wideIndex) childIndex(par, c *Node) int {
+	kids := par.Children()
+	if w.pos == nil {
+		w.pos = map[*Node]int{}
+	}
+	if _, ok := w.pos[kids[0]]; !ok {
+		for i, k := range kids {
+			w.pos[k] = i
+		}
+	}
+	if i, ok := w.pos[c]; ok {
+		return i
+	}
+	return -1
 }
 
 // CompareDocOrder orders two nodes of the same tree: -1 if a precedes b,
@@ -785,7 +820,7 @@ func CompareDocOrder(a, b *Node) int {
 		return 1
 	}
 	bufA, bufB := pathPool.Get().(*[]int), pathPool.Get().(*[]int)
-	pa, pb := a.path((*bufA)[:0]), b.path((*bufB)[:0])
+	pa, pb := a.path((*bufA)[:0], nil), b.path((*bufB)[:0], nil)
 	r := comparePaths(pa, pb)
 	*bufA, *bufB = pa, pb
 	pathPool.Put(bufA)
@@ -803,10 +838,13 @@ func comparePaths(pa, pb []int) int {
 		}
 	}
 	// One is ancestor of the other: ancestor first.
-	if len(pa) < len(pb) {
+	switch {
+	case len(pa) < len(pb):
 		return -1
+	case len(pa) > len(pb):
+		return 1
 	}
-	return 1
+	return 0 // the same node
 }
 
 // sortScratch is the reusable workspace of one SortDocOrder call: the
@@ -815,6 +853,7 @@ func comparePaths(pa, pb []int) int {
 type sortScratch struct {
 	ents  []sortEnt
 	arena []int
+	wide  wideIndex
 }
 
 type sortEnt struct {
@@ -849,7 +888,9 @@ func NotePoolMiss() { poolNews.Add(1) }
 //
 // Each node's root path is computed once up front (into a pooled arena)
 // rather than on every comparison; with paths in hand the sort itself is
-// cheap integer-slice comparison.
+// cheap integer-slice comparison. Child positions under a wide parent come
+// from an index of its children built once per call, so the whole sort is
+// O(N log N) however many siblings it holds.
 func SortDocOrder(nodes []*Node) []*Node {
 	if len(nodes) < 2 {
 		return nodes
@@ -860,17 +901,16 @@ func SortDocOrder(nodes []*Node) []*Node {
 	arena := sc.arena[:0]
 	for _, n := range nodes {
 		lo := len(arena)
-		arena = n.path(arena)
+		arena = n.path(arena, &sc.wide)
 		ents = append(ents, sortEnt{n: n, root: n.Root(), lo: lo, hi: len(arena)})
 	}
-	sort.SliceStable(ents, func(i, j int) bool {
-		a, b := &ents[i], &ents[j]
+	slices.SortStableFunc(ents, func(a, b sortEnt) int {
 		if a.root != b.root {
 			// Different trees: arbitrary but consistent order, matching
 			// CompareDocOrder's tiebreak.
-			return fmt.Sprintf("%p", a.root) < fmt.Sprintf("%p", b.root)
+			return strings.Compare(fmt.Sprintf("%p", a.root), fmt.Sprintf("%p", b.root))
 		}
-		return comparePaths(arena[a.lo:a.hi], arena[b.lo:b.hi]) < 0
+		return comparePaths(arena[a.lo:a.hi], arena[b.lo:b.hi])
 	})
 	out := nodes[:0]
 	for i := range ents {
@@ -880,6 +920,11 @@ func SortDocOrder(nodes []*Node) []*Node {
 		}
 	}
 	sc.ents, sc.arena = ents, arena
+	// The index holds node pointers; drop them rather than pin a tree in
+	// the pool.
+	if len(sc.wide.pos) > 0 {
+		clear(sc.wide.pos)
+	}
 	sortPool.Put(sc)
 	return out
 }

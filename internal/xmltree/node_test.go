@@ -1,8 +1,11 @@
 package xmltree
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestNewNodesKinds(t *testing.T) {
@@ -300,5 +303,69 @@ func TestWalkAndCount(t *testing.T) {
 	Walk(doc, func(n *Node) bool { count++; return count < 3 })
 	if count != 3 {
 		t.Fatalf("early stop count = %d", count)
+	}
+}
+
+// wideDoc builds <r> holding n <s i="…"><t>x</t></s> siblings, wide enough
+// that SortDocOrder indexes the root's children.
+func wideDoc(n int) *Node {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `<s i="%d" j="x"><t>x</t></s>`, i)
+	}
+	b.WriteString("</r>")
+	return MustParse(b.String())
+}
+
+// TestSortDocOrderWideParent: shuffled siblings of a wide parent, their
+// attributes and their nested nodes sort back into Walk order, duplicates
+// included, both fresh and through a lazy clone.
+func TestSortDocOrderWideParent(t *testing.T) {
+	for _, doc := range []*Node{wideDoc(3 * wideFanout), wideDoc(5).Clone(), wideDoc(200).Clone()} {
+		var walkOrder []*Node
+		Walk(doc, func(n *Node) bool { walkOrder = append(walkOrder, n); return true })
+		r := rand.New(rand.NewSource(int64(len(walkOrder))))
+		for round := 0; round < 5; round++ {
+			shuffled := append(append([]*Node(nil), walkOrder...), walkOrder[len(walkOrder)/2:]...)
+			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			sorted := SortDocOrder(shuffled)
+			if len(sorted) != len(walkOrder) {
+				t.Fatalf("sorted %d nodes, want %d", len(sorted), len(walkOrder))
+			}
+			for i := range sorted {
+				if sorted[i] != walkOrder[i] {
+					t.Fatalf("round %d position %d: got %s %q, want %s %q", round, i,
+						sorted[i].Kind, sorted[i].Name, walkOrder[i].Kind, walkOrder[i].Name)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSortDocOrderWide sorts the 50k reversed siblings of one parent:
+// quadratic when every node's position is a linear scan of its parent.
+func BenchmarkSortDocOrderWide(b *testing.B) {
+	doc := wideDoc(50_000)
+	kids := doc.DocumentElement().Children()
+	buf := make([]*Node, len(kids))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, k := range kids {
+			buf[len(kids)-1-j] = k
+		}
+		if got := SortDocOrder(buf); len(got) != len(kids) || got[0] != kids[0] {
+			b.Fatal("bad sort")
+		}
+	}
+}
+
+// TestNodeSize pins Node at 128 bytes: Kind packs beside the 4-byte shared
+// flag, and one more word would push every node into the 144-byte size
+// class.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 128 {
+		t.Fatalf("Node is %d bytes, want 128", got)
 	}
 }

@@ -1,14 +1,46 @@
 package xmltree
 
 import (
-	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"strings"
-	"unicode/utf8"
+	"unsafe"
 )
 
-// TokenKind classifies one event from the streaming Scanner.
+// ParseError describes a syntax error in an XML input, with 1-based line and
+// column of the offending position. Columns count bytes.
+type ParseError struct {
+	Line, Col int
+	Msg       string
+}
+
+// Error implements the error interface.
+func (e *ParseError) Error() string {
+	return fmt.Sprintf("xml: %d:%d: %s", e.Line, e.Col, e.Msg)
+}
+
+// ParseOptions controls parsing behavior.
+type ParseOptions struct {
+	// TrimWhitespace drops text nodes that consist entirely of XML
+	// whitespace. Document-generation templates are authored indented;
+	// trimming matches how AWB read them.
+	TrimWhitespace bool
+	// KeepComments retains comment nodes; by default they are preserved.
+	// Set DropComments to discard them instead.
+	DropComments bool
+	// MaxDepth bounds element nesting; 0 means DefaultMaxDepth, so
+	// pathological input ("<a><a><a>…") fails with a ParseError instead of
+	// building a tree too deep for the recursive walkers (Walk, the
+	// serializer) to traverse.
+	MaxDepth int
+}
+
+// DefaultMaxDepth is the element-nesting bound applied when
+// ParseOptions.MaxDepth is zero. Far deeper than any real document.
+const DefaultMaxDepth = 4000
+
+// TokenKind classifies one event from the Scanner.
 type TokenKind int
 
 // The event kinds a Scanner emits. Self-closing elements emit a
@@ -23,376 +55,576 @@ const (
 	TokEOF
 )
 
-// ScanAttr is one attribute of a TokStartElement, in document order.
+// ScanAttr is one attribute of a TokStartElement, in document order. Value
+// is the decoded value, a view valid until the next call to Next or
+// SkipElement.
 type ScanAttr struct {
-	Name, Value string
+	Name  string
+	Value []byte
 }
 
 // Token is one parse event. Name holds the element name (start/end) or PI
-// target; Data holds text, comment data, or PI data.
+// target; it is interned per scan and stays valid. Data holds text,
+// comment or PI data, and like every attribute value it is a read-only
+// view into the scanner's window, valid only until the next call to Next
+// or SkipElement: copy what you keep.
 type Token struct {
 	Kind      TokenKind
 	Name      string
-	Data      string
+	Data      []byte
 	Attrs     []ScanAttr
 	SelfClose bool
 }
 
-// Scanner is an event-driven XML tokenizer over an io.Reader: the streaming
-// twin of the whole-string parser in parse.go. It accepts exactly the same
-// language and reports exactly the same *ParseError text and positions —
-// the differential harness compares projected parses against string parses
-// of the same bytes, so the two front ends must never disagree about what
-// is well-formed.
+// windowChunk is the reader window's refill size.
+const windowChunk = 64 << 10
+
+// Scanner is the one XML front end: an event tokenizer over a []byte
+// window. An in-memory document is a single window; a reader refills it in
+// windowChunk steps, keeping only the bytes of the token being scanned.
+// Every tree builder (Parse, ParseFragment, ParseReader, ParseProjected)
+// and the SAX evaluator sit on it, so they accept one language and report
+// one set of *ParseError texts and positions.
+//
+// Markup is found with bytes.IndexByte/bytes.Index over the window, and
+// line and column are derived from byte offsets only when an error needs
+// them.
 //
 // A Scanner parses one complete document: optional XML declaration, misc
 // items, one root element, trailing misc, then TokEOF forever. SkipElement
-// consumes a just-opened element's entire subtree with full validation but
-// without building tokens, names, or text — the projection parser's
-// no-allocation path over pruned branches.
+// consumes a just-opened element's subtree with full validation but hands
+// out nothing — the pruning path of projection and of the SAX evaluator.
 type Scanner struct {
-	r    *bufio.Reader
-	opts ParseOptions
+	opts     ParseOptions
+	maxDepth int
 
-	line, col int
-	consumed  int64
+	// buf[pos:] is unread input. buf[mark:] survives a refill: mark is the
+	// start of the token being scanned, and positions held across a refill
+	// are kept relative to it.
+	buf  []byte
+	pos  int
+	mark int
+	// base is the input offset of buf[0].
+	base int64
+	// r is nil when buf holds the whole input.
+	r    io.Reader
+	rerr error
 
-	// stack holds the open element names (Next-mode elements only; skip
-	// mode tracks its nested names in the arena).
+	// Line bookkeeping, synced lazily: offset lineAt lies on line number
+	// line, which starts at offset lineStart.
+	line      int
+	lineStart int64
+	lineAt    int64
+
+	names map[string]string
+	// stack holds the open element names.
 	stack []string
 
-	seenRoot   bool
-	begun      bool // XML-declaration window passed
-	queuedEnd  bool // synthetic end for a self-closing element
-	queuedName string
-	err        error
+	tok   Token
+	attrs []ScanAttr
+	spans []attrSpan
+	// text collects a text run that crossed an entity or CDATA section;
+	// vals holds decoded attribute values.
+	text []byte
+	vals []byte
 
-	// textBuf accumulates one coalesced text run; reused across tokens.
-	textBuf []byte
-	// arena is skip-mode scratch for element/attribute names and raw
-	// attribute values, reused so steady-state skipping does not allocate.
-	arena        []byte
+	fragment  bool // ParseFragment: content at top level, no root rules
+	begun     bool // XML-declaration window passed
+	seenRoot  bool
+	queuedEnd bool
+	err       error
+
 	elemsSkipped int64
+}
+
+// attrSpan locates one attribute value during a start tag: relative to
+// mark in the window, or in vals when decoding rewrote it.
+type attrSpan struct {
+	name       string
+	start, end int
+	decoded    bool
 }
 
 // NewScanner returns a Scanner over r with the given options.
 func NewScanner(r io.Reader, opts ParseOptions) *Scanner {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<14)
+	s := newScanner(opts)
+	s.r = r
+	s.buf = make([]byte, 0, windowChunk)
+	return s
+}
+
+// newStringScanner returns a Scanner whose single window is input itself.
+// The window is never written, so aliasing the string's bytes is safe.
+func newStringScanner(input string, opts ParseOptions) *Scanner {
+	s := newScanner(opts)
+	s.buf = unsafe.Slice(unsafe.StringData(input), len(input))
+	return s
+}
+
+func newScanner(opts ParseOptions) *Scanner {
+	s := &Scanner{opts: opts, maxDepth: opts.MaxDepth, line: 1, names: map[string]string{}}
+	if s.maxDepth <= 0 {
+		s.maxDepth = DefaultMaxDepth
 	}
-	return &Scanner{r: br, opts: opts, line: 1, col: 1}
+	return s
 }
 
 // BytesRead reports how many input bytes the scanner has consumed.
-func (s *Scanner) BytesRead() int64 { return s.consumed }
+func (s *Scanner) BytesRead() int64 { return s.base + int64(s.pos) }
 
 // ElementsSkipped reports how many elements SkipElement has consumed
-// without building (the projection layer's pruning counter).
+// without handing them out (the projection layer's pruning counter).
 func (s *Scanner) ElementsSkipped() int64 { return s.elemsSkipped }
 
-// Depth reports the number of currently open elements.
-func (s *Scanner) Depth() int { return len(s.stack) }
+// ---- window ----
 
-func (s *Scanner) maxDepth() int {
-	if s.opts.MaxDepth > 0 {
-		return s.opts.MaxDepth
+// more reads input into the window, dropping the bytes before mark first.
+// It reports whether any byte arrived.
+func (s *Scanner) more() bool {
+	if s.r == nil || s.rerr != nil {
+		return false
 	}
-	return DefaultMaxDepth
-}
-
-func (s *Scanner) errorf(format string, args ...interface{}) error {
-	return s.errorfAt(s.line, s.col, format, args...)
-}
-
-func (s *Scanner) errorfAt(line, col int, format string, args ...interface{}) error {
-	e := &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
-	s.err = e
-	return e
-}
-
-// peekByte returns the next byte without consuming it; ok is false at EOF.
-func (s *Scanner) peekByte() (byte, bool) {
-	b, err := s.r.Peek(1)
-	if err != nil || len(b) == 0 {
-		return 0, false
+	if s.mark > 0 {
+		s.syncLines(s.base + int64(s.mark))
+		n := copy(s.buf, s.buf[s.mark:])
+		s.buf = s.buf[:n]
+		s.pos -= s.mark
+		s.base += int64(s.mark)
+		s.mark = 0
 	}
-	return b[0], true
-}
-
-// hasPrefix reports whether the unread input starts with p.
-func (s *Scanner) hasPrefix(p string) bool {
-	b, _ := s.r.Peek(len(p))
-	return len(b) >= len(p) && string(b) == p
-}
-
-// advanceByte consumes one byte, maintaining line/col exactly like the
-// string parser (byte-wise columns, '\n' starts a new line).
-func (s *Scanner) advanceByte() (byte, bool) {
-	b, err := s.r.ReadByte()
-	if err != nil {
-		return 0, false
+	if cap(s.buf)-len(s.buf) < windowChunk/2 {
+		// One token outgrew the window: widen it.
+		grown := make([]byte, len(s.buf), 2*cap(s.buf)+windowChunk)
+		copy(grown, s.buf)
+		s.buf = grown
 	}
-	if b == '\n' {
-		s.line++
-		s.col = 1
-	} else {
-		s.col++
-	}
-	s.consumed++
-	return b, true
-}
-
-func (s *Scanner) advance(n int) {
-	for i := 0; i < n; i++ {
-		if _, ok := s.advanceByte(); !ok {
-			return
+	for {
+		n, err := s.r.Read(s.buf[len(s.buf):cap(s.buf)])
+		s.buf = s.buf[:len(s.buf)+n]
+		if err != nil {
+			s.rerr = err
+			return n > 0
+		}
+		if n > 0 {
+			return true
 		}
 	}
 }
 
-func (s *Scanner) expect(lit string) error {
-	if !s.hasPrefix(lit) {
-		return s.errorf("expected %q", lit)
+// avail reports whether n unread bytes are in the window, reading more as
+// needed.
+func (s *Scanner) avail(n int) bool {
+	for len(s.buf)-s.pos < n {
+		if !s.more() {
+			return false
+		}
 	}
-	s.advance(len(lit))
-	return nil
+	return true
+}
+
+func (s *Scanner) peek() (byte, bool) {
+	if s.pos < len(s.buf) || s.more() {
+		return s.buf[s.pos], true
+	}
+	return 0, false
+}
+
+func (s *Scanner) hasPrefix(lit string) bool {
+	return s.avail(len(lit)) && string(s.buf[s.pos:s.pos+len(lit)]) == lit
+}
+
+// find returns the window index of the first delim at or after window
+// index from, reading more input as needed.
+func (s *Scanner) find(delim []byte, from int) (int, bool) {
+	rel := from - s.mark
+	for {
+		from = s.mark + rel
+		if i := bytes.Index(s.buf[from:], delim); i >= 0 {
+			return from + i, true
+		}
+		// A match may straddle the refill: resume len(delim)-1 back.
+		rel = max(rel, len(s.buf)-s.mark-len(delim)+1)
+		if !s.more() {
+			return 0, false
+		}
+	}
 }
 
 func (s *Scanner) skipSpace() {
 	for {
-		b, ok := s.peekByte()
-		if !ok {
-			return
+		for s.pos < len(s.buf) {
+			switch s.buf[s.pos] {
+			case ' ', '\t', '\r', '\n':
+				s.pos++
+			default:
+				return
+			}
 		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			s.advance(1)
-		default:
+		if !s.more() {
 			return
 		}
 	}
 }
 
-// peekRune decodes the next rune without consuming it.
-func (s *Scanner) peekRune() (rune, int) {
-	b, _ := s.r.Peek(utf8.UTFMax)
-	if len(b) == 0 {
-		return utf8.RuneError, 0
+// ---- positions and errors ----
+
+// syncLines advances the line bookkeeping to input offset at, which must
+// still be in the window.
+func (s *Scanner) syncLines(at int64) {
+	if at < s.lineAt {
+		// Only an in-memory window can look back; recount from the start.
+		s.line, s.lineStart, s.lineAt = 1, 0, 0
 	}
-	return utf8.DecodeRune(b)
+	seg := s.buf[s.lineAt-s.base : at-s.base]
+	if n := bytes.Count(seg, newline); n > 0 {
+		s.line += n
+		s.lineStart = s.lineAt + int64(bytes.LastIndexByte(seg, '\n')) + 1
+	}
+	s.lineAt = at
 }
 
-// readNameBytes scans an XML name into the arena and returns its span
-// (valid until the arena is truncated past mark).
-func (s *Scanner) readNameBytes() (mark int, err error) {
-	mark = len(s.arena)
-	r, size := s.peekRune()
-	if size == 0 || !isNameStart(r) {
-		return mark, s.errorf("expected name")
+// errAt records and returns a *ParseError at window index p. A failed read
+// that cut the input short takes precedence: the parse error would only
+// describe the truncation.
+func (s *Scanner) errAt(p int, format string, args ...any) error {
+	if s.readFailed() {
+		s.err = s.rerr
+		return s.err
 	}
+	at := s.base + int64(p)
+	s.syncLines(at)
+	s.err = &ParseError{Line: s.line, Col: int(at-s.lineStart) + 1, Msg: fmt.Sprintf(format, args...)}
+	return s.err
+}
+
+func (s *Scanner) errHere(format string, args ...any) error {
+	return s.errAt(s.pos, format, args...)
+}
+
+func (s *Scanner) readFailed() bool { return s.rerr != nil && s.rerr != io.EOF }
+
+// atEOF ends a well-formed input with TokEOF, unless a failed read cut it
+// short.
+func (s *Scanner) atEOF() error {
+	if s.readFailed() {
+		s.err = s.rerr
+		return s.err
+	}
+	s.tok = Token{Kind: TokEOF}
+	return nil
+}
+
+var (
+	newline       = []byte{'\n'}
+	commentClose  = []byte("-->")
+	cdataClose    = []byte("]]>")
+	piClose       = []byte("?>")
+	errSkipNoOpen = errors.New("xmltree: SkipElement with no open element")
+)
+
+// ---- names ----
+
+// nameStart and nameChar classify bytes. Every byte >= 0x80 is both: any
+// multi-byte rune and any invalid byte (decoded as U+FFFD) is above 127,
+// so names never need rune decoding.
+var nameStart, nameChar [256]bool
+
+func init() {
+	for c := 0; c < 256; c++ {
+		start := c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
+		nameStart[c] = start
+		nameChar[c] = start || c == '-' || c == '.' || (c >= '0' && c <= '9')
+	}
+}
+
+// scanName consumes a name at pos and returns its window span (relative
+// to mark, so it survives refills).
+func (s *Scanner) scanName() (lo, hi int, err error) {
+	b, ok := s.peek()
+	if !ok || !nameStart[b] {
+		return 0, 0, s.errHere("expected name")
+	}
+	lo = s.pos - s.mark
+	s.pos++
 	for {
-		for i := 0; i < size; i++ {
-			b, _ := s.advanceByte()
-			s.arena = append(s.arena, b)
+		for s.pos < len(s.buf) && nameChar[s.buf[s.pos]] {
+			s.pos++
 		}
-		r, size = s.peekRune()
-		if size == 0 || !isNameChar(r) {
-			return mark, nil
+		if s.pos < len(s.buf) || !s.more() {
+			return lo, s.pos - s.mark, nil
 		}
 	}
 }
 
-func (s *Scanner) readName() (string, error) {
-	mark, err := s.readNameBytes()
+// intern returns the per-scan canonical string for a name.
+func (s *Scanner) intern(b []byte) string {
+	if n, ok := s.names[string(b)]; ok {
+		return n
+	}
+	n := string(b)
+	s.names[n] = n
+	return n
+}
+
+func (s *Scanner) internName() (string, error) {
+	lo, hi, err := s.scanName()
 	if err != nil {
 		return "", err
 	}
-	name := string(s.arena[mark:])
-	s.arena = s.arena[:mark]
-	return name, nil
+	return s.intern(s.buf[s.mark+lo : s.mark+hi]), nil
 }
+
+// ---- events ----
 
 // Next returns the next token. After an error or TokEOF every further call
 // returns the same outcome.
 func (s *Scanner) Next() (Token, error) {
+	if err := s.next(); err != nil {
+		return Token{}, err
+	}
+	return s.tok, nil
+}
+
+// next scans one event into s.tok.
+func (s *Scanner) next() error {
 	if s.err != nil {
-		return Token{}, s.err
+		return s.err
 	}
 	if s.queuedEnd {
 		s.queuedEnd = false
-		name := s.queuedName
-		s.queuedName = ""
-		return Token{Kind: TokEndElement, Name: name}, nil
+		s.tok = Token{Kind: TokEndElement, Name: s.tok.Name}
+		return nil
 	}
-	if len(s.stack) == 0 {
+	if len(s.stack) == 0 && !s.fragment {
 		return s.nextDocLevel()
 	}
 	return s.nextContent()
 }
 
-// nextDocLevel produces tokens at document level: the parseMisc loop of the
-// string parser.
-func (s *Scanner) nextDocLevel() (Token, error) {
+// nextDocLevel produces the document-level sequence: XML declaration, misc
+// items, one root element, trailing misc.
+func (s *Scanner) nextDocLevel() error {
 	if !s.begun {
 		s.begun = true
 		if s.hasPrefix("<?xml") {
-			// The string parser searches for "?>" before advancing, so an
-			// unterminated declaration reports position 1:1.
-			if err := s.discardUntil("?>", 1, 1, "unterminated XML declaration"); err != nil {
-				return Token{}, err
+			// The declaration is skipped whole; an unterminated one reports
+			// where it starts.
+			s.mark = s.pos
+			end, ok := s.find(piClose, s.pos)
+			if !ok {
+				return s.errAt(s.mark, "unterminated XML declaration")
 			}
+			s.pos = end + len(piClose)
 		}
 	}
 	for {
+		s.mark = s.pos // whitespace need not survive a refill
 		s.skipSpace()
-		if _, ok := s.peekByte(); !ok {
+		s.mark = s.pos
+		b, ok := s.peek()
+		if !ok {
 			if !s.seenRoot {
-				return Token{}, s.errorf("document has no root element")
+				return s.errHere("document has no root element")
 			}
-			return Token{Kind: TokEOF}, nil
+			return s.atEOF()
 		}
 		switch {
 		case s.hasPrefix("<!--"):
-			tok, keep, err := s.scanComment()
-			if err != nil {
-				return Token{}, err
-			}
-			if keep {
-				return tok, nil
+			if keep, err := s.scanComment(); err != nil || keep {
+				return err
 			}
 		case s.hasPrefix("<!DOCTYPE"):
 			if err := s.skipDoctype(); err != nil {
-				return Token{}, err
+				return err
 			}
 		case s.hasPrefix("<?"):
 			return s.scanPI()
-		default:
-			b, _ := s.peekByte()
-			if b != '<' {
-				return Token{}, s.errorf("unexpected content %q at document level", string(b))
-			}
+		case b == '<':
 			if s.seenRoot {
-				return Token{}, s.errorf("multiple root elements")
+				return s.errHere("multiple root elements")
 			}
 			s.seenRoot = true
 			return s.scanStartTag()
+		default:
+			return s.errHere("unexpected content %q at document level", string(rune(b)))
 		}
 	}
 }
 
-// nextContent produces tokens inside an open element: the parseContent
-// loop. Text runs coalesce across entities and CDATA sections and flush at
-// the next structural token, exactly like the string parser.
-func (s *Scanner) nextContent() (Token, error) {
-	s.textBuf = s.textBuf[:0]
-	// flush materializes the accumulated run as a token, or drops it when
-	// empty or whitespace-only under TrimWhitespace; either way the buffer
-	// drains, so a dropped run never bleeds into the next one.
-	flush := func() (Token, bool) {
-		if len(s.textBuf) == 0 {
-			return Token{}, false
-		}
-		d := string(s.textBuf)
-		s.textBuf = s.textBuf[:0]
-		if s.opts.TrimWhitespace && strings.TrimSpace(d) == "" {
-			return Token{}, false
-		}
-		return Token{Kind: TokText, Data: d}, true
-	}
+// nextContent produces events inside an open element (or at fragment top
+// level). A text run is one window slice unless it crosses an entity or a
+// CDATA section; then the pieces coalesce in s.text, and the run ends at
+// the next structural token.
+func (s *Scanner) nextContent() error {
+	s.mark = s.pos
+	coalesced := false
+	s.text = s.text[:0]
 	for {
-		b, ok := s.peekByte()
-		if !ok {
-			return Token{}, s.errorf("unterminated element <%s>", s.stack[len(s.stack)-1])
+		rest := s.buf[s.pos:]
+		stop := bytes.IndexByte(rest, '<')
+		if stop < 0 {
+			stop = len(rest)
 		}
+		if amp := bytes.IndexByte(rest[:stop], '&'); amp >= 0 {
+			stop = amp
+		}
+		if coalesced {
+			s.text = append(s.text, rest[:stop]...)
+		}
+		s.pos += stop
+		if coalesced {
+			s.mark = s.pos // the run so far lives in s.text
+		}
+		if s.pos == len(s.buf) {
+			if s.more() {
+				continue
+			}
+			if len(s.stack) > 0 {
+				return s.errHere("unterminated element <%s>", s.stack[len(s.stack)-1])
+			}
+			if s.emitText(coalesced) {
+				return nil
+			}
+			return s.atEOF()
+		}
+		if s.buf[s.pos] == '&' {
+			if !coalesced {
+				s.text = append(s.text, s.buf[s.mark:s.pos]...)
+				coalesced = true
+			}
+			if err := s.scanEntity(); err != nil {
+				return err
+			}
+			s.mark = s.pos
+			continue
+		}
+		// At '<': CDATA extends the run; any other markup ends it. The byte
+		// after '<' picks the construct.
+		var kind byte
+		if s.avail(2) {
+			kind = s.buf[s.pos+1]
+		}
+		if kind == '!' && s.hasPrefix("<![CDATA[") {
+			if !coalesced {
+				s.text = append(s.text, s.buf[s.mark:s.pos]...)
+				coalesced = true
+			}
+			s.mark = s.pos
+			s.pos += len("<![CDATA[")
+			end, ok := s.find(cdataClose, s.pos)
+			if !ok {
+				return s.errAt(s.mark+len("<![CDATA["), "unterminated CDATA section")
+			}
+			s.text = append(s.text, s.buf[s.pos:end]...)
+			s.pos = end + len(cdataClose)
+			s.mark = s.pos
+			continue
+		}
+		if s.emitText(coalesced) {
+			return nil
+		}
+		s.mark = s.pos
 		switch {
-		case s.hasPrefix("</"):
-			if tok, ok := flush(); ok {
-				return tok, nil
+		case kind == '/':
+			if len(s.stack) == 0 {
+				return s.errHere("unexpected end tag at fragment level")
 			}
 			return s.scanEndTag()
-		case s.hasPrefix("<!--"):
-			if tok, ok := flush(); ok {
-				return tok, nil
+		case kind == '!' && s.hasPrefix("<!--"):
+			if keep, err := s.scanComment(); err != nil || keep {
+				return err
 			}
-			tok, keep, err := s.scanComment()
-			if err != nil {
-				return Token{}, err
-			}
-			if keep {
-				return tok, nil
-			}
-		case s.hasPrefix("<![CDATA["):
-			s.advance(len("<![CDATA["))
-			line, col := s.line, s.col
-			if err := s.appendUntil(&s.textBuf, "]]>", line, col, "unterminated CDATA section"); err != nil {
-				return Token{}, err
-			}
-		case s.hasPrefix("<?"):
-			if tok, ok := flush(); ok {
-				return tok, nil
-			}
+			// Dropped: a new text run starts after it.
+			s.mark = s.pos
+			s.text = s.text[:0]
+			coalesced = false
+		case kind == '?':
 			return s.scanPI()
-		case b == '<':
-			if tok, ok := flush(); ok {
-				return tok, nil
-			}
-			return s.scanStartTag()
-		case b == '&':
-			rep, err := s.scanEntity(true)
-			if err != nil {
-				return Token{}, err
-			}
-			s.textBuf = append(s.textBuf, rep...)
 		default:
-			s.advance(1)
-			s.textBuf = append(s.textBuf, b)
+			return s.scanStartTag()
 		}
 	}
 }
 
-// scanComment consumes a comment; keep is false when DropComments is set.
-func (s *Scanner) scanComment() (Token, bool, error) {
-	s.advance(len("<!--"))
-	line, col := s.line, s.col
-	if s.opts.DropComments {
-		if err := s.discardUntil("-->", line, col, "unterminated comment"); err != nil {
-			return Token{}, false, err
-		}
-		return Token{}, false, nil
+// emitText turns the text run ending at pos into a TokText, unless it is
+// empty or a whitespace-only run under TrimWhitespace.
+func (s *Scanner) emitText(coalesced bool) bool {
+	data := s.buf[s.mark:s.pos]
+	if coalesced {
+		data = s.text
 	}
-	var buf []byte
-	if err := s.appendUntil(&buf, "-->", line, col, "unterminated comment"); err != nil {
-		return Token{}, false, err
+	if len(data) == 0 || (s.opts.TrimWhitespace && len(bytes.TrimSpace(data)) == 0) {
+		return false
 	}
-	return Token{Kind: TokComment, Data: string(buf)}, true, nil
+	s.tok = Token{Kind: TokText, Data: data}
+	return true
 }
 
-// scanPI consumes a processing instruction.
-func (s *Scanner) scanPI() (Token, error) {
-	s.advance(len("<?"))
-	target, err := s.readName()
+// scanEntity consumes "&name;" or a character reference in text and
+// appends its replacement to s.text. The ';' must come within 12 bytes of
+// the '&'.
+func (s *Scanner) scanEntity() error {
+	s.mark = s.pos
+	s.avail(13) // fewer at the end of the input
+	win := s.buf[s.pos:min(s.pos+13, len(s.buf))]
+	end := bytes.IndexByte(win, ';')
+	if end < 0 {
+		return s.errHere("unterminated entity reference")
+	}
+	rep, err := resolveEntityBytes(win[1:end])
 	if err != nil {
-		return Token{}, err
+		return s.errHere("%v", err)
 	}
-	line, col := s.line, s.col
-	var buf []byte
-	if err := s.appendUntil(&buf, "?>", line, col, "unterminated processing instruction"); err != nil {
-		return Token{}, err
-	}
-	data := strings.TrimLeft(string(buf), " \t\r\n")
-	return Token{Kind: TokPI, Name: target, Data: data}, nil
+	s.text = append(s.text, rep...)
+	s.pos += end + 1
+	return nil
 }
 
-// skipDoctype mirrors the string parser: skip to '>' tolerating an internal
-// subset in brackets.
+// scanComment consumes a comment at pos; keep is false when DropComments
+// discards it.
+func (s *Scanner) scanComment() (keep bool, err error) {
+	s.pos += len("<!--")
+	end, ok := s.find(commentClose, s.pos)
+	if !ok {
+		return false, s.errAt(s.mark+len("<!--"), "unterminated comment")
+	}
+	data := s.buf[s.pos:end]
+	s.pos = end + len(commentClose)
+	if s.opts.DropComments {
+		return false, nil
+	}
+	s.tok = Token{Kind: TokComment, Data: data}
+	return true, nil
+}
+
+// scanPI consumes a processing instruction at pos.
+func (s *Scanner) scanPI() error {
+	s.pos += len("<?")
+	target, err := s.internName()
+	if err != nil {
+		return err
+	}
+	end, ok := s.find(piClose, s.pos)
+	if !ok {
+		return s.errAt(s.pos, "unterminated processing instruction")
+	}
+	data := s.buf[s.pos:end]
+	s.pos = end + len(piClose)
+	s.tok = Token{Kind: TokPI, Name: target, Data: bytes.TrimLeft(data, " \t\r\n")}
+	return nil
+}
+
+// skipDoctype skips <!DOCTYPE ...> at pos, tolerating an internal subset
+// in brackets.
 func (s *Scanner) skipDoctype() error {
 	depth := 0
 	for {
-		b, ok := s.peekByte()
+		b, ok := s.peek()
 		if !ok {
-			return s.errorf("unterminated DOCTYPE")
+			return s.errHere("unterminated DOCTYPE")
 		}
+		s.pos++
+		s.mark = s.pos
 		switch b {
 		case '[':
 			depth++
@@ -400,227 +632,210 @@ func (s *Scanner) skipDoctype() error {
 			depth--
 		case '>':
 			if depth <= 0 {
-				s.advance(1)
 				return nil
 			}
 		}
-		s.advance(1)
 	}
 }
 
-// scanStartTag consumes "<name attrs…>" or "<name attrs…/>". Self-closing
-// elements queue a synthetic end token.
-func (s *Scanner) scanStartTag() (Token, error) {
-	if len(s.stack)+1 > s.maxDepth() {
-		return Token{}, s.errorf("element nesting exceeds %d levels", s.maxDepth())
+// scanStartTag consumes "<name attrs…>" or "<name attrs…/>" at pos. A
+// self-closing element queues its synthetic end token.
+func (s *Scanner) scanStartTag() error {
+	if len(s.stack)+1 > s.maxDepth {
+		return s.errHere("element nesting exceeds %d levels", s.maxDepth)
 	}
-	if err := s.expect("<"); err != nil {
-		return Token{}, err
-	}
-	name, err := s.readName()
+	s.pos++ // '<'
+	name, err := s.internName()
 	if err != nil {
-		return Token{}, err
+		return err
 	}
-	var attrs []ScanAttr
-	selfClose, err := s.scanAttrs(name, func(aname, aval string) error {
-		for _, a := range attrs {
-			if a.Name == aname {
-				return s.errorf("duplicate attribute %q on <%s>", aname, name)
-			}
-		}
-		attrs = append(attrs, ScanAttr{Name: aname, Value: aval})
-		return nil
-	})
-	if err != nil {
-		return Token{}, err
-	}
-	if selfClose {
-		s.queuedEnd = true
-		s.queuedName = name
-		return Token{Kind: TokStartElement, Name: name, Attrs: attrs, SelfClose: true}, nil
-	}
-	s.stack = append(s.stack, name)
-	return Token{Kind: TokStartElement, Name: name, Attrs: attrs}, nil
-}
-
-// scanAttrs consumes the attribute list and closing ">" or "/>" of a start
-// tag whose name is already read, calling add for each decoded attribute.
-func (s *Scanner) scanAttrs(name string, add func(aname, aval string) error) (selfClose bool, err error) {
+	s.spans = s.spans[:0]
+	s.vals = s.vals[:0]
 	for {
 		s.skipSpace()
-		b, ok := s.peekByte()
+		b, ok := s.peek()
 		if !ok {
-			return false, s.errorf("unterminated start tag <%s", name)
+			return s.errHere("unterminated start tag <%s", name)
 		}
 		if b == '>' || b == '/' {
 			break
 		}
-		aname, err := s.readName()
+		aname, err := s.internName()
 		if err != nil {
-			return false, err
+			return err
 		}
 		s.skipSpace()
-		if err := s.expect("="); err != nil {
-			return false, err
+		if !s.hasPrefix("=") {
+			return s.errHere("expected %q", "=")
 		}
+		s.pos++
 		s.skipSpace()
-		aval, err := s.scanAttrValue()
+		sp, err := s.scanAttrValue()
 		if err != nil {
-			return false, err
+			return err
 		}
-		if err := add(aname, aval); err != nil {
-			return false, err
-		}
-	}
-	if b, _ := s.peekByte(); b == '/' {
-		s.advance(1)
-		if err := s.expect(">"); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	if err := s.expect(">"); err != nil {
-		return false, err
-	}
-	return false, nil
-}
-
-// scanEndTag consumes "</name>" and validates the match.
-func (s *Scanner) scanEndTag() (Token, error) {
-	s.advance(2)
-	got, err := s.readName()
-	if err != nil {
-		return Token{}, err
-	}
-	want := s.stack[len(s.stack)-1]
-	if got != want {
-		return Token{}, s.errorf("end tag </%s> does not match <%s>", got, want)
-	}
-	s.skipSpace()
-	if err := s.expect(">"); err != nil {
-		return Token{}, err
-	}
-	s.stack = s.stack[:len(s.stack)-1]
-	return Token{Kind: TokEndElement, Name: got}, nil
-}
-
-// scanAttrValue consumes a quoted attribute value and decodes entities.
-// Decoding happens after the closing quote is consumed, so error positions
-// match the string parser, whose decode pass runs post-advance.
-func (s *Scanner) scanAttrValue() (string, error) {
-	mark := len(s.arena)
-	defer func() { s.arena = s.arena[:mark] }()
-	hasAmp, err := s.scanAttrRaw()
-	if err != nil {
-		return "", err
-	}
-	raw := s.arena[mark:]
-	if !hasAmp {
-		return string(raw), nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(raw); {
-		if raw[i] != '&' {
-			b.WriteByte(raw[i])
-			i++
-			continue
-		}
-		end := -1
-		for j := i; j < len(raw); j++ {
-			if raw[j] == ';' {
-				end = j - i
-				break
+		for _, o := range s.spans {
+			if o.name == aname {
+				return s.errHere("duplicate attribute %q on <%s>", aname, name)
 			}
 		}
-		if end < 0 {
-			return "", s.errorf("unterminated entity in attribute value")
-		}
-		r, err := resolveEntityBytes(raw[i+1:i+end], true)
-		if err != nil {
-			return "", s.errorf("%v", err)
-		}
-		b.WriteString(r)
-		i += end + 1
+		sp.name = aname
+		s.spans = append(s.spans, sp)
 	}
-	return b.String(), nil
+	selfClose := s.buf[s.pos] == '/'
+	if selfClose {
+		s.pos++
+		if !s.hasPrefix(">") {
+			return s.errHere("expected %q", ">")
+		}
+	}
+	s.pos++ // '>'
+	s.attrs = s.attrs[:0]
+	for _, sp := range s.spans {
+		var v []byte
+		if sp.decoded {
+			v = s.vals[sp.start:sp.end]
+		} else {
+			v = s.buf[s.mark+sp.start : s.mark+sp.end]
+		}
+		s.attrs = append(s.attrs, ScanAttr{Name: sp.name, Value: v})
+	}
+	s.tok = Token{Kind: TokStartElement, Name: name, Attrs: s.attrs, SelfClose: selfClose}
+	if selfClose {
+		s.queuedEnd = true
+	} else {
+		s.stack = append(s.stack, name)
+	}
+	return nil
 }
 
-// scanAttrRaw consumes a quoted value into the arena without decoding,
-// reporting whether it contains '&'.
-func (s *Scanner) scanAttrRaw() (hasAmp bool, err error) {
-	quote, ok := s.peekByte()
+// scanAttrValue consumes a quoted attribute value at pos. Entity decoding
+// runs after the closing quote, so its errors report there.
+func (s *Scanner) scanAttrValue() (attrSpan, error) {
+	quote, ok := s.peek()
 	if !ok || (quote != '"' && quote != '\'') {
-		return false, s.errorf("expected quoted attribute value")
+		return attrSpan{}, s.errHere("expected quoted attribute value")
 	}
-	s.advance(1)
+	s.pos++
+	lo := s.pos - s.mark
 	for {
-		c, ok := s.peekByte()
-		if !ok {
-			return false, s.errorf("unterminated attribute value")
+		rest := s.buf[s.pos:]
+		q := bytes.IndexByte(rest, quote)
+		if q < 0 {
+			q = len(rest)
 		}
-		if c == quote {
+		if lt := bytes.IndexByte(rest[:q], '<'); lt >= 0 {
+			return attrSpan{}, s.errAt(s.pos+lt, "'<' in attribute value")
+		}
+		s.pos += q
+		if s.pos < len(s.buf) {
 			break
 		}
-		if c == '<' {
-			return false, s.errorf("'<' in attribute value")
+		if !s.more() {
+			return attrSpan{}, s.errHere("unterminated attribute value")
 		}
-		if c == '&' {
-			hasAmp = true
-		}
-		s.advance(1)
-		s.arena = append(s.arena, c)
 	}
-	s.advance(1)
-	return hasAmp, nil
+	hi := s.pos - s.mark
+	s.pos++ // closing quote
+	raw := s.buf[s.mark+lo : s.mark+hi]
+	if bytes.IndexByte(raw, '&') < 0 {
+		return attrSpan{start: lo, end: hi}, nil
+	}
+	start := len(s.vals)
+	for len(raw) > 0 {
+		amp := bytes.IndexByte(raw, '&')
+		if amp < 0 {
+			s.vals = append(s.vals, raw...)
+			break
+		}
+		s.vals = append(s.vals, raw[:amp]...)
+		raw = raw[amp:]
+		end := bytes.IndexByte(raw, ';')
+		if end < 0 {
+			return attrSpan{}, s.errHere("unterminated entity in attribute value")
+		}
+		rep, err := resolveEntityBytes(raw[1:end])
+		if err != nil {
+			return attrSpan{}, s.errHere("%v", err)
+		}
+		s.vals = append(s.vals, rep...)
+		raw = raw[end+1:]
+	}
+	return attrSpan{start: start, end: len(s.vals), decoded: true}, nil
 }
 
-// scanEntity consumes "&name;" or a character reference and returns the
-// replacement. With build false the reference is validated but the result
-// is discarded, allocation-free for the predeclared entities.
-func (s *Scanner) scanEntity(build bool) (string, error) {
-	// The string parser requires ';' within 12 bytes of the '&'.
-	win, _ := s.r.Peek(13)
-	end := -1
-	for i := 1; i < len(win); i++ {
-		if win[i] == ';' {
-			end = i
-			break
-		}
-	}
-	if end < 0 {
-		return "", s.errorf("unterminated entity reference")
-	}
-	rep, err := resolveEntityBytes(win[1:end], build)
+// scanEndTag consumes "</name>" at pos and validates the match.
+func (s *Scanner) scanEndTag() error {
+	s.pos += len("</")
+	lo, hi, err := s.scanName()
 	if err != nil {
-		return "", s.errorf("%v", err)
+		return err
 	}
-	s.advance(end + 1)
-	return rep, nil
+	want := s.stack[len(s.stack)-1]
+	if got := s.buf[s.mark+lo : s.mark+hi]; string(got) != want {
+		return s.errHere("end tag </%s> does not match <%s>", got, want)
+	}
+	s.skipSpace()
+	if !s.hasPrefix(">") {
+		return s.errHere("expected %q", ">")
+	}
+	s.pos++
+	s.stack = s.stack[:len(s.stack)-1]
+	s.tok = Token{Kind: TokEndElement, Name: want}
+	return nil
 }
 
-// resolveEntityBytes mirrors resolveEntity over a byte span. With build
-// false the replacement is validated but "" is returned, without
-// allocating for the predeclared names.
-func resolveEntityBytes(ent []byte, build bool) (string, error) {
+// SkipElement consumes the content and end tag of the element most recently
+// opened by a non-self-closing TokStartElement, validating everything a
+// full parse would (nesting bound, tag matching, attribute rules, entity
+// references, comment/CDATA/PI termination) while handing out nothing.
+// Its events are window views, so skipping a pruned subtree allocates
+// nothing in steady state.
+func (s *Scanner) SkipElement() error {
+	if s.err != nil {
+		return s.err
+	}
+	base := len(s.stack)
+	if base == 0 {
+		return errSkipNoOpen
+	}
+	for {
+		if err := s.next(); err != nil {
+			return err
+		}
+		switch s.tok.Kind {
+		case TokStartElement:
+			s.elemsSkipped++
+		case TokEndElement:
+			if len(s.stack) < base {
+				return nil
+			}
+		}
+	}
+}
+
+// ---- entities ----
+
+// resolveEntityBytes resolves a named or character entity reference (the
+// bytes between '&' and ';'). The predeclared names resolve without
+// allocating.
+func resolveEntityBytes(ent []byte) (string, error) {
 	switch string(ent) { // compiled without allocation
 	case "lt":
-		return pick(build, "<"), nil
+		return "<", nil
 	case "gt":
-		return pick(build, ">"), nil
+		return ">", nil
 	case "amp":
-		return pick(build, "&"), nil
+		return "&", nil
 	case "quot":
-		return pick(build, `"`), nil
+		return `"`, nil
 	case "apos":
-		return pick(build, "'"), nil
+		return "'", nil
 	}
 	if len(ent) >= 2 && ent[0] == '#' && (ent[1] == 'x' || ent[1] == 'X') {
 		v, ok := parseUintBytes(ent[2:], 16)
 		if !ok {
 			return "", fmt.Errorf("bad character reference &%s;", ent)
-		}
-		if !build {
-			return "", nil
 		}
 		return string(rune(v)), nil
 	}
@@ -629,19 +844,9 @@ func resolveEntityBytes(ent []byte, build bool) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("bad character reference &%s;", ent)
 		}
-		if !build {
-			return "", nil
-		}
 		return string(rune(v)), nil
 	}
 	return "", fmt.Errorf("unknown entity &%s;", ent)
-}
-
-func pick(build bool, s string) string {
-	if !build {
-		return ""
-	}
-	return s
 }
 
 // parseUintBytes parses digits in the given base with strconv.ParseUint's
@@ -674,253 +879,8 @@ func parseUintBytes(b []byte, base uint32) (uint32, bool) {
 	return uint32(v), true
 }
 
-// discardUntil consumes input up to and including delim, building nothing.
-// On EOF the error reports at (line, col), the position the string
-// parser's failed Index search would report.
-func (s *Scanner) discardUntil(delim string, line, col int, unterminated string) error {
-	n := len(delim)
-	var win [4]byte
-	filled := 0
-	for {
-		b, ok := s.advanceByte()
-		if !ok {
-			return s.errorfAt(line, col, "%s", unterminated)
-		}
-		copy(win[:], win[1:n])
-		win[n-1] = b
-		if filled < n {
-			filled++
-		}
-		if filled == n && string(win[:n]) == delim {
-			return nil
-		}
-	}
-}
-
-// appendUntil consumes input up to and including delim, appending the bytes
-// before delim to *buf. The delimiter match never straddles bytes appended
-// before this call (mirroring the string parser's bounded Index search).
-func (s *Scanner) appendUntil(buf *[]byte, delim string, line, col int, unterminated string) error {
-	n := len(delim)
-	var win [4]byte
-	filled := 0
-	for {
-		b, ok := s.advanceByte()
-		if !ok {
-			return s.errorfAt(line, col, "%s", unterminated)
-		}
-		*buf = append(*buf, b)
-		copy(win[:], win[1:n])
-		win[n-1] = b
-		if filled < n {
-			filled++
-		}
-		if filled == n && string(win[:n]) == delim {
-			*buf = (*buf)[:len(*buf)-n]
-			return nil
-		}
-	}
-}
-
-// SkipElement consumes the content and end tag of the element most recently
-// opened by a non-self-closing TokStartElement, validating everything the
-// string parser would (nesting bound, tag matching, attribute rules, entity
-// references, comment/CDATA/PI termination) while building nothing. Names
-// and raw attribute values live in a reused arena, so skipping a pruned
-// subtree is allocation-free in steady state.
-func (s *Scanner) SkipElement() error {
-	if s.err != nil {
-		return s.err
-	}
-	if len(s.stack) == 0 {
-		return fmt.Errorf("xmltree: SkipElement with no open element")
-	}
-	base := len(s.stack)
-	arenaMark := len(s.arena)
-	defer func() { s.arena = s.arena[:arenaMark] }()
-	// spans are the arena extents of element names opened inside the skip;
-	// strict nesting means the innermost open name is always the arena top.
-	var spans [][2]int
-	openName := func() string {
-		if len(spans) > 0 {
-			sp := spans[len(spans)-1]
-			return string(s.arena[sp[0]:sp[1]])
-		}
-		return s.stack[base-1]
-	}
-	for {
-		b, ok := s.peekByte()
-		if !ok {
-			return s.errorf("unterminated element <%s>", openName())
-		}
-		switch {
-		case s.hasPrefix("</"):
-			s.advance(2)
-			mark, err := s.readNameBytes()
-			if err != nil {
-				return err
-			}
-			got := s.arena[mark:]
-			if len(spans) == 0 {
-				if string(got) != s.stack[base-1] {
-					return s.errorf("end tag </%s> does not match <%s>", got, s.stack[base-1])
-				}
-			} else {
-				sp := spans[len(spans)-1]
-				if string(got) != string(s.arena[sp[0]:sp[1]]) {
-					return s.errorf("end tag </%s> does not match <%s>", got, s.arena[sp[0]:sp[1]])
-				}
-			}
-			s.skipSpace()
-			if err := s.expect(">"); err != nil {
-				return err
-			}
-			s.arena = s.arena[:mark]
-			if len(spans) == 0 {
-				s.stack = s.stack[:base-1]
-				return nil
-			}
-			sp := spans[len(spans)-1]
-			spans = spans[:len(spans)-1]
-			s.arena = s.arena[:sp[0]]
-		case s.hasPrefix("<!--"):
-			s.advance(len("<!--"))
-			line, col := s.line, s.col
-			if err := s.discardUntil("-->", line, col, "unterminated comment"); err != nil {
-				return err
-			}
-		case s.hasPrefix("<![CDATA["):
-			s.advance(len("<![CDATA["))
-			line, col := s.line, s.col
-			if err := s.discardUntil("]]>", line, col, "unterminated CDATA section"); err != nil {
-				return err
-			}
-		case s.hasPrefix("<?"):
-			s.advance(2)
-			nameMark, err := s.readNameBytes()
-			if err != nil {
-				return err
-			}
-			s.arena = s.arena[:nameMark]
-			line, col := s.line, s.col
-			if err := s.discardUntil("?>", line, col, "unterminated processing instruction"); err != nil {
-				return err
-			}
-		case b == '<':
-			if err := s.skipStartTag(base, &spans); err != nil {
-				return err
-			}
-		case b == '&':
-			if _, err := s.scanEntity(false); err != nil {
-				return err
-			}
-		default:
-			s.advance(1)
-		}
-	}
-}
-
-// skipStartTag validates one start tag in skip mode: nesting bound, names,
-// attribute syntax, duplicate detection, and entity validity, all against
-// the arena.
-func (s *Scanner) skipStartTag(base int, spans *[][2]int) error {
-	if base+len(*spans)+1 > s.maxDepth() {
-		return s.errorf("element nesting exceeds %d levels", s.maxDepth())
-	}
-	s.advance(1) // '<'
-	nameMark, err := s.readNameBytes()
-	if err != nil {
-		return err
-	}
-	nameEnd := len(s.arena)
-	// Attribute names append after the element name; attrSpans index them
-	// for duplicate detection.
-	var attrSpans [][2]int
-	for {
-		s.skipSpace()
-		b, ok := s.peekByte()
-		if !ok {
-			return s.errorf("unterminated start tag <%s", s.arena[nameMark:nameEnd])
-		}
-		if b == '>' || b == '/' {
-			break
-		}
-		aMark, err := s.readNameBytes()
-		if err != nil {
-			return err
-		}
-		aEnd := len(s.arena)
-		s.skipSpace()
-		if err := s.expect("="); err != nil {
-			return err
-		}
-		s.skipSpace()
-		if err := s.skipAttrValue(); err != nil {
-			return err
-		}
-		for _, sp := range attrSpans {
-			if string(s.arena[sp[0]:sp[1]]) == string(s.arena[aMark:aEnd]) {
-				return s.errorf("duplicate attribute %q on <%s>",
-					s.arena[aMark:aEnd], s.arena[nameMark:nameEnd])
-			}
-		}
-		attrSpans = append(attrSpans, [2]int{aMark, aEnd})
-	}
-	selfClose := false
-	if b, _ := s.peekByte(); b == '/' {
-		s.advance(1)
-		if err := s.expect(">"); err != nil {
-			return err
-		}
-		selfClose = true
-	} else if err := s.expect(">"); err != nil {
-		return err
-	}
-	s.elemsSkipped++
-	// Attribute names are no longer needed; keep only the element name.
-	s.arena = s.arena[:nameEnd]
-	if selfClose {
-		s.arena = s.arena[:nameMark]
-		return nil
-	}
-	*spans = append(*spans, [2]int{nameMark, nameEnd})
-	return nil
-}
-
-// skipAttrValue validates a quoted value and its entity references without
-// building the decoded string. The raw bytes pass through the arena so the
-// post-quote entity validation can run at the same position the string
-// parser's decode pass reports errors from.
-func (s *Scanner) skipAttrValue() error {
-	mark := len(s.arena)
-	defer func() { s.arena = s.arena[:mark] }()
-	hasAmp, err := s.scanAttrRaw()
-	if err != nil {
-		return err
-	}
-	if !hasAmp {
-		return nil
-	}
-	raw := s.arena[mark:]
-	for i := 0; i < len(raw); {
-		if raw[i] != '&' {
-			i++
-			continue
-		}
-		end := -1
-		for j := i; j < len(raw); j++ {
-			if raw[j] == ';' {
-				end = j - i
-				break
-			}
-		}
-		if end < 0 {
-			return s.errorf("unterminated entity in attribute value")
-		}
-		if _, err := resolveEntityBytes(raw[i+1:i+end], false); err != nil {
-			return s.errorf("%v", err)
-		}
-		i += end + 1
-	}
-	return nil
-}
+// ResolveEntity resolves a named or character entity reference (the text
+// between '&' and ';') to its replacement string. Exposed for the XQuery
+// lexer, which must decode the same references inside string literals and
+// direct element constructors.
+func ResolveEntity(ent string) (string, error) { return resolveEntityBytes([]byte(ent)) }

@@ -1,12 +1,16 @@
 package xmltree
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
-// parityInputs are documents — valid and malformed — that the string parser
-// and the streaming reader must judge identically: same tree or same
+// parityInputs are documents — valid and malformed — that the in-memory
+// window and every reader split must judge identically: same tree or same
 // *ParseError text and position.
 var parityInputs = []string{
 	`<a/>`,
@@ -61,27 +65,64 @@ var parityInputs = []string{
 	`<a>x<!DOCTYPE b></a>`, // DOCTYPE in content is "expected name"
 }
 
-// checkParity asserts Parse and ParseReader agree on input under opts.
+// chunkReader returns at most n bytes per Read, so every window refill
+// lands at a different offset of the input.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(len(p), c.n)])
+}
+
+// splitReaders are the readers every parity input is fed through: refills
+// after every byte, at half of every request, and at small odd strides, so
+// splits land inside tags, names, entities, attribute values and the
+// "-->", "]]>" and "?>" terminators.
+var splitReaders = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"one-byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+	{"chunk3", func(r io.Reader) io.Reader { return &chunkReader{r, 3} }},
+	{"chunk7", func(r io.Reader) io.Reader { return &chunkReader{r, 7} }},
+	{"chunk13", func(r io.Reader) io.Reader { return &chunkReader{r, 13} }},
+}
+
+// checkParity asserts that the single-window parse of input and a reader
+// parse through every split reader agree: same tree or same *ParseError
+// text and position.
 func checkParity(t *testing.T, input string, opts ParseOptions) {
 	t.Helper()
+	if msg := parityDiff(input, opts); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+func parityDiff(input string, opts ParseOptions) string {
 	want, wantErr := ParseWith(input, opts)
-	got, gotErr := ParseReaderWith(strings.NewReader(input), opts)
-	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("input %q: Parse err=%v, ParseReader err=%v", input, wantErr, gotErr)
-	}
-	if wantErr != nil {
-		if wantErr.Error() != gotErr.Error() {
-			t.Fatalf("input %q:\n  Parse err:       %v\n  ParseReader err: %v", input, wantErr, gotErr)
+	for _, sr := range splitReaders {
+		got, gotErr := ParseReaderWith(sr.wrap(strings.NewReader(input)), opts)
+		if (wantErr == nil) != (gotErr == nil) {
+			return fmt.Sprintf("input %q (%s): Parse err=%v, ParseReader err=%v", input, sr.name, wantErr, gotErr)
 		}
-		return
+		if wantErr != nil {
+			if wantErr.Error() != gotErr.Error() {
+				return fmt.Sprintf("input %q (%s):\n  Parse err:       %v\n  ParseReader err: %v", input, sr.name, wantErr, gotErr)
+			}
+			continue
+		}
+		if ws, gs := want.String(), got.String(); ws != gs {
+			return fmt.Sprintf("input %q (%s):\n  Parse:       %s\n  ParseReader: %s", input, sr.name, ws, gs)
+		}
+		if wc, gc := CountNodes(want), CountNodes(got); wc != gc {
+			return fmt.Sprintf("input %q (%s): node counts differ: %d vs %d", input, sr.name, wc, gc)
+		}
 	}
-	ws, gs := want.String(), got.String()
-	if ws != gs {
-		t.Fatalf("input %q:\n  Parse:       %s\n  ParseReader: %s", input, ws, gs)
-	}
-	if wc, gc := CountNodes(want), CountNodes(got); wc != gc {
-		t.Fatalf("input %q: node counts differ: %d vs %d", input, wc, gc)
-	}
+	return ""
 }
 
 func TestParseReaderParity(t *testing.T) {
@@ -215,7 +256,7 @@ func TestProjectedWildcardAndPrefix(t *testing.T) {
 
 func TestProjectedMalformedSkippedRegion(t *testing.T) {
 	// Errors inside skipped subtrees must still surface, with the same
-	// text the string parser reports.
+	// text the full parse reports.
 	cases := []string{
 		`<r><skip><bad b="1" b="2"/></skip><item/></r>`,
 		`<r><skip>&nope;</skip><item/></r>`,
@@ -254,8 +295,13 @@ func TestProjectedFrozen(t *testing.T) {
 	}
 }
 
+// FuzzReaderParity compares the single-window parse of every input with
+// reader parses split at every byte, at half reads and at small strides.
 func FuzzReaderParity(f *testing.F) {
 	for _, in := range parityInputs {
+		f.Add(in)
+	}
+	for _, in := range goldenExtraInputs {
 		f.Add(in)
 	}
 	f.Add(projDoc)
@@ -263,19 +309,68 @@ func FuzzReaderParity(f *testing.F) {
 		if len(input) > 1<<16 {
 			return
 		}
-		want, wantErr := Parse(input)
-		got, gotErr := ParseReader(strings.NewReader(input))
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("Parse err=%v ParseReader err=%v", wantErr, gotErr)
+		if msg := parityDiff(input, ParseOptions{}); msg != "" {
+			t.Fatal(msg)
 		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("error text differs:\n%v\nvs\n%v", wantErr, gotErr)
-			}
-			return
-		}
-		if want.String() != got.String() {
-			t.Fatalf("trees differ:\n%s\nvs\n%s", want.String(), got.String())
+		if msg := parityDiff(input, ParseOptions{TrimWhitespace: true, DropComments: true, MaxDepth: 5}); msg != "" {
+			t.Fatal(msg)
 		}
 	})
+}
+
+// TestReaderWindowGrowth: tokens longer than the refill chunk (a text run,
+// an attribute value, a comment, a CDATA section) make the window grow,
+// and a long document makes it slide; both parse exactly like the
+// in-memory window, error positions included.
+func TestReaderWindowGrowth(t *testing.T) {
+	big := strings.Repeat("x\ny", windowChunk)
+	var many strings.Builder
+	many.WriteString("<r>\n")
+	for i := 0; many.Len() < 3*windowChunk; i++ {
+		fmt.Fprintf(&many, "<i n=\"%d\">t &amp; %d<![CDATA[c]]></i><!--k-->\n", i, i)
+	}
+	long := many.String()
+	for _, in := range []string{
+		"<a>" + big + "</a>",
+		`<a b="` + big + `"/>`,
+		"<a><!--" + big + "--></a>",
+		"<a><![CDATA[" + big + "]]></a>",
+		"<a>" + big + "&amp;" + big + "</a>",
+		"<a>" + big + "&bad;</a>",
+		"<a><!--" + big + "</a>",
+		long + "</r>",
+		long + "<bad",
+		long,
+	} {
+		if msg := parityDiff(in, ParseOptions{}); msg != "" {
+			t.Fatal(msg[:min(len(msg), 400)])
+		}
+	}
+}
+
+// failingReader returns its data, then a non-EOF error.
+type failingReader struct {
+	data string
+	err  error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if f.data == "" {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// TestReaderErrorSurfaces: a read that fails mid-document is reported as
+// the read error, not as the parse error the truncation would look like.
+func TestReaderErrorSurfaces(t *testing.T) {
+	boom := errors.New("boom")
+	for _, in := range []string{"<a><b>text", "<a/>", "<a b=\"1"} {
+		_, err := ParseReader(&failingReader{data: in, err: boom})
+		if !errors.Is(err, boom) {
+			t.Fatalf("input %q: err = %v, want the read error", in, err)
+		}
+	}
 }

@@ -308,7 +308,7 @@ func (st *applyState) resolve(root, newRoot, target *Node) (*Node, error) {
 	if target.Root() != root {
 		return nil, ErrTargetNotInTree
 	}
-	path := target.path(nil)
+	path := target.path(nil, nil)
 	cur := newRoot
 	for _, idx := range path {
 		if cur.src.Load() != nil {

@@ -74,10 +74,13 @@ func (o *optimizer) planPath(p *ast.PathExpr) {
 
 // fuseChild turns a fusable child::name step into the descendant::name step
 // that replaces a (descendant-or-self::node(), child::name) pair, folding a
-// single [@attr = 'v'] predicate into the probe when present.
+// single [@attr = 'v'] predicate into the probe when present. Only the
+// child axis fuses: `//@year` is (descendant-or-self::node(),
+// attribute::year), and rewriting it to descendant::year would look for
+// elements instead of attributes.
 func (o *optimizer) fuseChild(s ast.Step) (ast.Step, bool) {
 	name, ok := plainName(s)
-	if !ok {
+	if !ok || s.Axis != ast.AxisChild {
 		return s, false
 	}
 	ap := &ast.AccessPath{Kind: ast.AccessIndexScan, Fused: true}

@@ -116,6 +116,25 @@ func TestPlanRefusesUnsafeShapes(t *testing.T) {
 	}
 }
 
+// TestPlanNeverFusesAttributeSteps pins the axis check in fuseChild:
+// `//@year` is descendant-or-self::node() followed by attribute::year, and
+// fusing it into descendant::year would count elements named year instead
+// of attributes.
+func TestPlanNeverFusesAttributeSteps(t *testing.T) {
+	for _, src := range []string{`//@year`, `/r//@n`, `//@k[. = 'v']`} {
+		p, _ := planQuery(t, src, Options{Level: O2})
+		for _, s := range p.Steps {
+			if s.Access != nil && s.Access.Fused {
+				t.Errorf("%s: fused an attribute step: %s::%s %+v", src, s.Axis, s.Test.Name, s.Access)
+			}
+		}
+		last := p.Steps[len(p.Steps)-1]
+		if last.Axis != ast.AxisAttribute {
+			t.Errorf("%s: final step axis = %s, want attribute", src, last.Axis)
+		}
+	}
+}
+
 func TestPlanDisabledAndO0(t *testing.T) {
 	p, stats := planQuery(t, `//item`, Options{Level: O2, DisableAccessPaths: true})
 	for _, s := range p.Steps {

@@ -251,24 +251,30 @@ type Stats struct {
 }
 
 // frame is the per-open-element evaluator state: the NFA states live at the
-// element (step indices to try against its children) and, in serialize
-// mode, the node being built when the element lies inside a result subtree.
+// element (step indices to try against its children, states[lo:hi] of
+// Run's shared stack) and, in serialize mode, the node being built when the
+// element lies inside a result subtree.
 type frame struct {
-	states []int
+	lo, hi int
 	build  *xmltree.Node
 }
 
 // Run evaluates the plan against a document read from r and returns the
 // query result already serialized (identically to the materializing
 // engine's EvalString). The input is always scanned to the end so malformed
-// documents report the same parse error every tier reports.
+// documents report the same parse error every tier reports. Token text and
+// attribute values are window views: only serialize mode copies them, into
+// the result nodes it builds.
 func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error) {
 	s := xmltree.NewScanner(r, opts)
 	var st Stats
 	var count int64
 	var results []*xmltree.Node
 	var attrResults []string
-	frames := []frame{{states: []int{0}}}
+	// states is a stack of NFA state sets, one per open frame, so opening
+	// an element allocates nothing once the stack has grown to the depth.
+	states := []int{0}
+	frames := []frame{{lo: 0, hi: 1}}
 	for {
 		tok, err := s.Next()
 		if err != nil {
@@ -277,20 +283,20 @@ func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error
 		top := &frames[len(frames)-1]
 		switch tok.Kind {
 		case xmltree.TokStartElement:
-			var next []int
+			lo := len(states)
 			matched := false
-			for _, si := range top.states {
+			for _, si := range states[top.lo:top.hi] {
 				stp := &p.steps[si]
 				if stp.desc {
-					next = append(next, si)
+					states = append(states, si)
 				}
 				if !xmltree.NameTestMatches(stp.name, tok.Name) || !attrsHold(stp.attrs, tok.Attrs) {
 					continue
 				}
 				if si+1 == len(p.steps) {
 					matched = true
-				} else if !contains(next, si+1) {
-					next = append(next, si+1)
+				} else if !contains(states[lo:], si+1) {
+					states = append(states, si+1)
 				}
 			}
 			if matched {
@@ -300,7 +306,7 @@ func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error
 							count++
 							st.Matches++
 							if p.mode == ModeSerialize {
-								attrResults = append(attrResults, a.Name+`="`+xmltree.EscapeAttr(a.Value)+`"`)
+								attrResults = append(attrResults, a.Name+`="`+xmltree.EscapeAttr(string(a.Value))+`"`)
 							}
 						}
 					}
@@ -314,7 +320,7 @@ func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error
 			if p.mode == ModeSerialize && (elementMatch || top.build != nil) {
 				build = xmltree.NewElement(tok.Name)
 				for _, a := range tok.Attrs {
-					build.SetAttr(a.Name, a.Value)
+					build.SetAttr(a.Name, string(a.Value))
 				}
 				if top.build != nil {
 					top.build.AppendChild(build)
@@ -323,7 +329,7 @@ func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error
 					results = append(results, build)
 				}
 			}
-			if len(next) == 0 && build == nil && !tok.SelfClose {
+			if len(states) == lo && build == nil && !tok.SelfClose {
 				// Nothing below can match or needs building: validate and
 				// skip the subtree without touching the NFA stack.
 				if err := s.SkipElement(); err != nil {
@@ -331,23 +337,24 @@ func (p *Plan) Run(r io.Reader, opts xmltree.ParseOptions) (string, Stats, error
 				}
 				continue
 			}
-			frames = append(frames, frame{states: next, build: build})
+			frames = append(frames, frame{lo: lo, hi: len(states), build: build})
 			if d := len(frames) - 1; d > st.MaxDepth {
 				st.MaxDepth = d
 			}
 		case xmltree.TokEndElement:
+			states = states[:top.lo]
 			frames = frames[:len(frames)-1]
 		case xmltree.TokText:
 			if top.build != nil {
-				top.build.AppendChild(xmltree.NewText(tok.Data))
+				top.build.AppendChild(xmltree.NewText(string(tok.Data)))
 			}
 		case xmltree.TokComment:
 			if top.build != nil {
-				top.build.AppendChild(xmltree.NewComment(tok.Data))
+				top.build.AppendChild(xmltree.NewComment(string(tok.Data)))
 			}
 		case xmltree.TokPI:
 			if top.build != nil {
-				top.build.AppendChild(xmltree.NewPI(tok.Name, tok.Data))
+				top.build.AppendChild(xmltree.NewPI(tok.Name, string(tok.Data)))
 			}
 		case xmltree.TokEOF:
 			st.BytesScanned = s.BytesRead()
@@ -379,7 +386,7 @@ func attrsHold(preds []attrEq, attrs []xmltree.ScanAttr) bool {
 	for _, p := range preds {
 		ok := false
 		for _, a := range attrs {
-			if a.Name == p.name && a.Value == p.value {
+			if a.Name == p.name && string(a.Value) == p.value {
 				ok = true
 				break
 			}

@@ -128,11 +128,14 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 		return "", &interp.Error{Code: "XPST0003",
 			Msg: "EvalReader called on an update program (use Transform)"}
 	}
+	// The projected and materialized trees below live for this one
+	// evaluation, so they stay unfrozen: indexing one would cost a full
+	// DocIndex build to answer a single lookup the tree walk answers.
 	switch q.mode(cfg) {
 	case StreamFull:
 		return q.evalFullStream(r, cfg)
 	case StreamProjected:
-		doc, pst, err := xmltree.ParseProjectedStats(r, q.proj, xmltree.ParseOptions{})
+		doc, pst, err := xmltree.ParseProjectedUnfrozen(r, q.proj, xmltree.ParseOptions{})
 		if err != nil {
 			obs.Default().Evals.Add(1)
 			obs.Default().EvalErrors.Add(1)
@@ -155,7 +158,6 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 		obs.Default().EvalErrors.Add(1)
 		return "", err
 	}
-	xmltree.Freeze(doc)
 	out, err := q.EvalString(ctx, doc, opts...)
 	if cfg.stats != nil {
 		cfg.stats.StreamMode = StreamMaterialize.String()
@@ -185,7 +187,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // is parsed.
 func (q *StreamQuery) ParseProjected(r io.Reader) (*Node, error) {
 	if q.proj == nil {
-		return xmltree.ParseReader(r)
+		doc, err := xmltree.ParseReader(r)
+		if err != nil {
+			return nil, err
+		}
+		return xmltree.Freeze(doc), nil
 	}
 	return xmltree.ParseProjected(r, q.proj)
 }

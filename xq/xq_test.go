@@ -29,6 +29,38 @@ func TestEvalWithContextAndVars(t *testing.T) {
 	}
 }
 
+// TestDescendantAttributeCount is the //@attr regression: every optimizer
+// level and the streaming ladder must count attributes, not elements that
+// share the attribute's name.
+func TestDescendantAttributeCount(t *testing.T) {
+	const src = `<lib><book year="1"/><shelf><book year="2"/></shelf><year/></lib>`
+	for _, lvl := range []OptLevel{O0, O1, O2} {
+		for _, c := range []struct{ query, want string }{
+			{`count(//@year)`, "2"},
+			{`count(/lib//@year)`, "2"},
+			{`string-join(//@year, ',')`, "1,2"},
+		} {
+			doc, err := ParseXML(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := MustCompile(c.query, WithOptLevel(lvl))
+			out, err := q.EvalString(nil, doc)
+			if err != nil || out != c.want {
+				t.Errorf("O%d %s = %q, %v; want %q", lvl, c.query, out, err, c.want)
+			}
+			sq, err := CompileStream(c.query, WithOptLevel(lvl))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err = sq.EvalReader(nil, strings.NewReader(src))
+			if err != nil || out != c.want {
+				t.Errorf("stream O%d %s = %q, %v; want %q", lvl, c.query, out, err, c.want)
+			}
+		}
+	}
+}
+
 func TestMustCompilePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
