@@ -119,9 +119,7 @@ type Registry struct {
 // SharingStats reports the copy-on-write tree layer's process-wide traffic:
 // lazy clones handed out, one-level materializations that broke sharing,
 // nodes whose physical copy was deferred at clone time, and scratch-buffer
-// pool hits/misses. The counters live in the tree package (which this
-// package must not import); the engine registers a probe so snapshots can
-// include them.
+// pool hits/misses.
 type SharingStats struct {
 	CowClones        int64
 	CowBreaks        int64
@@ -130,23 +128,10 @@ type SharingStats struct {
 	PoolMisses       int64
 }
 
-// sharingProbe is read at snapshot time; nil until an engine package
-// registers one via SetSharingProbe.
-var sharingProbe atomic.Pointer[func() SharingStats]
-
-// SetSharingProbe registers the function Snapshot uses to fill the
-// copy-on-write and pool counters. The tree package owns those counters and
-// cannot import obs, so the public engine package wires the two together.
-// Later registrations replace earlier ones.
-func SetSharingProbe(fn func() SharingStats) {
-	sharingProbe.Store(&fn)
-}
-
 // IndexStats reports the access-path layer's process-wide traffic: index
 // section builds and the wall time they took, probes served from an index,
 // child steps proven empty by the path synopsis, and probes that fell back
-// to a tree walk. The counters live in the index package; the engine
-// registers a probe, exactly like the sharing counters.
+// to a tree walk.
 type IndexStats struct {
 	Builds     int64
 	BuildNanos int64
@@ -155,22 +140,9 @@ type IndexStats struct {
 	Fallbacks  int64
 }
 
-// indexProbe is read at snapshot time; nil until an engine package
-// registers one via SetIndexProbe.
-var indexProbe atomic.Pointer[func() IndexStats]
-
-// SetIndexProbe registers the function Snapshot uses to fill the
-// structural/value index counters. Later registrations replace earlier
-// ones.
-func SetIndexProbe(fn func() IndexStats) {
-	indexProbe.Store(&fn)
-}
-
 // StreamStats reports the streaming-parse layer's process-wide traffic:
 // full reader parses, projection-pruned parses, input bytes scanned, and
-// the projected parses' element retain/prune decisions. The counters live
-// in the tree package; the engine registers a probe, exactly like the
-// sharing counters.
+// the projected parses' element retain/prune decisions.
 type StreamStats struct {
 	ReaderParses     int64
 	ProjectedParses  int64
@@ -179,14 +151,24 @@ type StreamStats struct {
 	ElementsPruned   int64
 }
 
-// streamProbe is read at snapshot time; nil until an engine package
-// registers one via SetStreamProbe.
-var streamProbe atomic.Pointer[func() StreamStats]
+// LayerStats is what the layer probe reports: the process-wide counters
+// of the tree, index and streaming-parse layers. Those layers own their
+// counters and cannot import this package, so the public engine package
+// registers one probe that reads all three.
+type LayerStats struct {
+	Sharing SharingStats
+	Index   IndexStats
+	Stream  StreamStats
+}
 
-// SetStreamProbe registers the function Snapshot uses to fill the
-// streaming-parse counters. Later registrations replace earlier ones.
-func SetStreamProbe(fn func() StreamStats) {
-	streamProbe.Store(&fn)
+// layerProbe is read at snapshot time; nil until an engine package
+// registers one via SetLayerProbe.
+var layerProbe atomic.Pointer[func() LayerStats]
+
+// SetLayerProbe registers the function Snapshot uses to fill Sharing,
+// Index and Stream. Later registrations replace earlier ones.
+func SetLayerProbe(fn func() LayerStats) {
+	layerProbe.Store(&fn)
 }
 
 // Snapshot is a point-in-time copy of a Registry, the MetricsSnapshot()
@@ -197,36 +179,25 @@ type Snapshot struct {
 	Evals, EvalErrors, LimitHits                       int64
 	TraceEvents                                        int64
 	ShapeChecksElided                                  int64
-	// Sharing holds the copy-on-write/pool counters from the registered
+	// Sharing, Index and Stream hold the copy-on-write/pool, structural/
+	// value index and streaming-parse counters from the registered layer
 	// probe (zero when no probe is registered).
-	Sharing SharingStats
-	// Index holds the structural/value index counters from the registered
-	// probe (zero when no probe is registered).
-	Index IndexStats
-	// Stream holds the streaming-parse counters from the registered probe
-	// (zero when no probe is registered).
+	Sharing                     SharingStats
+	Index                       IndexStats
 	Stream                      StreamStats
 	CompileLatency, EvalLatency HistogramSnapshot
 }
 
 // Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
-	var sharing SharingStats
-	if fn := sharingProbe.Load(); fn != nil {
-		sharing = (*fn)()
-	}
-	var index IndexStats
-	if fn := indexProbe.Load(); fn != nil {
-		index = (*fn)()
-	}
-	var stream StreamStats
-	if fn := streamProbe.Load(); fn != nil {
-		stream = (*fn)()
+	var layers LayerStats
+	if fn := layerProbe.Load(); fn != nil {
+		layers = (*fn)()
 	}
 	return Snapshot{
-		Sharing:            sharing,
-		Index:              index,
-		Stream:             stream,
+		Sharing:            layers.Sharing,
+		Index:              layers.Index,
+		Stream:             layers.Stream,
 		Compiles:           r.Compiles.Load(),
 		CompileErrors:      r.CompileErrors.Load(),
 		PlanCacheHits:      r.PlanCacheHits.Load(),

@@ -493,7 +493,8 @@ type VarDecl struct {
 	P    Pos
 }
 
-// Module is a parsed main module: prolog plus body expression.
+// Module is a parsed main module: a prolog followed by either a body
+// expression (a query) or a statement list (an update program).
 type Module struct {
 	// Namespaces maps declared prefixes to URIs. The subset records them
 	// but matches names textually (prefix-literal matching), which is how
@@ -503,13 +504,20 @@ type Module struct {
 	BoundarySpacePreserve bool
 	Functions             []*FuncDecl
 	Vars                  []*VarDecl
-	Body                  Expr
+	// Body is the query expression; nil for update programs.
+	Body Expr
+	// Stmts is the update program's statement list; nil for queries. The
+	// update grammar requires at least one statement.
+	Stmts []UpdateStmt
 	// ElidedTraces records fn:trace call sites the optimizer's dead-code
 	// pass removed (the Galax quirk). The compiled runtime reports each of
 	// them to the host tracer once per evaluation, flagged as elided, so
 	// structured tracing can never be silently optimized away.
 	ElidedTraces []ElidedTrace
 }
+
+// IsUpdate reports whether m is an update program (statements, no body).
+func (m *Module) IsUpdate() bool { return m.Stmts != nil }
 
 // ElidedTrace is one fn:trace call site removed by dead-let elimination:
 // its position and whatever arguments were statically known (literals;
@@ -616,14 +624,6 @@ func (*ReplaceStmt) updateStmt() {}
 func (*RenameStmt) updateStmt()  {}
 func (*ForStmt) updateStmt()     {}
 func (*BlockStmt) updateStmt()   {}
-
-// UpdateModule is a parsed update program: the ordinary main-module prolog
-// (namespaces, functions, variables — held in Prolog, whose Body is nil)
-// followed by a statement sequence.
-type UpdateModule struct {
-	Prolog *Module
-	Stmts  []UpdateStmt
-}
 
 // NewPos is a convenience constructor for positions.
 func NewPos(line, col int) Pos { return Pos{Line: line, Col: col} }

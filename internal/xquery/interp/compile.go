@@ -78,25 +78,20 @@ type Program struct {
 	// elided carries the fn:trace sites dead-code elimination removed, for
 	// once-per-evaluation reporting to the tracer.
 	elided []ast.ElidedTrace
-	// shapes is the static shape analysis of mod, when the host ran one
-	// (NewProgramWithShapes); nil compiles the fully-checked plan. The facts
-	// let the compiler install fast paths that skip provably redundant
-	// runtime checks — every fast path re-checks cheaply and falls back, so
-	// plans with and without shapes stay observationally equivalent.
+	// shapes is the static shape analysis of mod, when the host ran one;
+	// nil compiles the fully-checked plan. The facts let the compiler
+	// install fast paths that skip provably redundant runtime checks —
+	// every fast path re-checks cheaply and falls back, so plans with and
+	// without shapes stay observationally equivalent.
 	shapes *shapes.Info
-	// Update programs only (see update.go): the compiled statement list and
-	// the parsed update module it came from. nil for query programs.
-	stmts  []compiledStmt
-	updMod *ast.UpdateModule
+	// stmts is an update program's compiled statement list (see update.go);
+	// nil for queries.
+	stmts []compiledStmt
 }
 
-// IsUpdate reports whether this program is a compiled update program
-// (produced by NewUpdateProgram) rather than a query.
-func (p *Program) IsUpdate() bool { return p.updMod != nil }
-
-// UpdateModule returns the parsed update module for update programs, nil
-// for query programs.
-func (p *Program) UpdateModule() *ast.UpdateModule { return p.updMod }
+// IsUpdate reports whether this program was compiled from an update
+// program rather than a query.
+func (p *Program) IsUpdate() bool { return p.mod.IsUpdate() }
 
 // PlanNote is one compile-time fact about the plan: what the compiler
 // decided at a source position. The sequence of notes, printed by Explain,
@@ -123,32 +118,14 @@ func (p *Program) Notes() []PlanNote {
 func (p *Program) Module() *ast.Module { return p.mod }
 
 // NewProgram compiles a parsed (and typically optimizer-processed) module
-// into its closure-compiled form.
-func NewProgram(mod *ast.Module) (*Program, error) {
-	return NewProgramWithShapes(mod, nil)
-}
-
-// NewProgramWithShapes compiles mod with the facts of a static shape
-// analysis attached: operand atomization, cardinality checks, boolean
-// condition reads and argument type checks the analysis proves redundant
-// compile into guarded fast paths (counted per evaluation as
-// ShapeChecksElided). info must come from shapes.InferModule over the SAME
-// AST (post-optimization); nil info is NewProgram.
-func NewProgramWithShapes(mod *ast.Module, info *shapes.Info) (*Program, error) {
-	p, cp, err := newProgramShell(mod, info)
-	if err != nil {
-		return nil, err
-	}
-	p.body = cp.compile(mod.Body)
-	p.frameSize = cp.water
-	return p, nil
-}
-
-// newProgramShell compiles everything a module shares with an update
-// program — user functions, global slots, prolog variable initializers —
-// and returns the program plus the compiler for the main frame scope, ready
-// to compile a query body or a statement list into it.
-func newProgramShell(mod *ast.Module, info *shapes.Info) (*Program, *compiler, error) {
+// into its closure-compiled form: a query body, or an update program's
+// statement list run by Interp.Transform. info, when non-nil, attaches the
+// facts of a static shape analysis: operand atomization, cardinality
+// checks, boolean condition reads and argument type checks the analysis
+// proves redundant compile into guarded fast paths (counted per evaluation
+// as ShapeChecksElided). info must come from shapes.InferModule over the
+// SAME AST (post-optimization).
+func NewProgram(mod *ast.Module, info *shapes.Info) (*Program, error) {
 	p := &Program{mod: mod, globalIdx: map[string]int{}, funcs: map[string]map[int]*compiledFunc{},
 		elided: mod.ElidedTraces, shapes: info}
 	// Pass 1: declare shells so call sites pre-bind in any order.
@@ -159,7 +136,7 @@ func newProgramShell(mod *ast.Module, info *shapes.Info) (*Program, *compiler, e
 			p.funcs[f.Name] = byArity
 		}
 		if _, dup := byArity[len(f.Params)]; dup {
-			return nil, nil, &Error{Code: "XQST0034", Pos: f.P,
+			return nil, &Error{Code: "XQST0034", Pos: f.P,
 				Msg: fmt.Sprintf("function %s/%d declared twice", f.Name, len(f.Params))}
 		}
 		byArity[len(f.Params)] = &compiledFunc{name: f.Name, params: f.Params, ret: f.Ret, declPos: f.P}
@@ -174,8 +151,9 @@ func newProgramShell(mod *ast.Module, info *shapes.Info) (*Program, *compiler, e
 		cf.body = cp.compile(f.Body)
 		cf.frameSize = cp.water
 	}
-	// Prolog initializers and the main body share one frame scope: each
-	// runs with an empty local scope, so their slots can overlap.
+	// Prolog initializers and the main body (or statement list) share one
+	// frame scope: each runs with an empty local scope, so their slots can
+	// overlap.
 	cp := &compiler{prog: p}
 	for _, vd := range mod.Vars {
 		st := prologStep{slot: cp.globalSlot(vd.Name), name: vd.Name, pos: vd.P}
@@ -184,7 +162,19 @@ func newProgramShell(mod *ast.Module, info *shapes.Info) (*Program, *compiler, e
 		}
 		p.prolog = append(p.prolog, st)
 	}
-	return p, cp, nil
+	if mod.IsUpdate() {
+		p.stmts = make([]compiledStmt, len(mod.Stmts))
+		for i, s := range mod.Stmts {
+			p.stmts[i] = cp.compileStmt(s)
+		}
+		// An update program has no body; Eval on it yields the empty
+		// sequence.
+		p.body = constExpr(xdm.Empty)
+	} else {
+		p.body = cp.compile(mod.Body)
+	}
+	p.frameSize = cp.water
+	return p, nil
 }
 
 // compiler carries the compile-time state of one frame scope (the main
@@ -245,7 +235,7 @@ func (cp *compiler) globalSlot(name string) int {
 
 // ---- shape-driven fast paths ----
 //
-// When a static shape analysis is attached (NewProgramWithShapes), the
+// When a static shape analysis is attached (NewProgram's info), the
 // compiler replaces the hot coercion checks — atomize-and-cardinality before
 // arithmetic/comparison/cast, effective-boolean-value before branches — with
 // guarded fast paths at sites where the analysis proves the full check

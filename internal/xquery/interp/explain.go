@@ -89,7 +89,7 @@ func (p *Program) Explain() string {
 			}
 			return ""
 		}
-		if body := p.mod.Body; body != nil && p.updMod == nil {
+		if body := p.mod.Body; body != nil {
 			if sh, ok := p.shapes.Of(body); ok {
 				fmt.Fprintf(&b, "shapes: result %s\n", sh)
 			}
@@ -102,9 +102,9 @@ func (p *Program) Explain() string {
 		}
 	}
 
-	if p.updMod != nil {
+	if p.IsUpdate() {
 		b.WriteString("pending-update plan:\n")
-		for i, s := range p.updMod.Stmts {
+		for i, s := range p.mod.Stmts {
 			fmt.Fprintf(&b, "  u%-3d %s\n", i, ast.PrintStmtAnnotated(s, annot))
 		}
 		return b.String()

@@ -93,7 +93,7 @@ func (e *Error) Error() string {
 //
 // An Interp is safe for concurrent use: the compiled program is read-only
 // after construction and every evaluation allocates its own frames, so any
-// number of goroutines may call Eval/EvalContext on one Interp at once.
+// number of goroutines may call Eval (or Transform) on one Interp at once.
 type Interp struct {
 	prog *Program
 	opts Options
@@ -101,7 +101,7 @@ type Interp struct {
 
 // New compiles a parsed module and prepares an interpreter for it.
 func New(mod *ast.Module, opts Options) (*Interp, error) {
-	prog, err := NewProgram(mod)
+	prog, err := NewProgram(mod, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -216,62 +216,57 @@ func (c *evalCtx) Doc(uri string) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.NewNode(doc)), nil
 }
 
-// Eval evaluates the module body. ctxItem may be nil (no context item);
-// vars pre-binds external variables by name (without '$').
-func (ip *Interp) Eval(ctxItem xdm.Item, vars map[string]xdm.Sequence) (xdm.Sequence, error) {
-	return ip.EvalContext(context.Background(), ctxItem, vars)
-}
-
-// EvalContext evaluates the module body under ctx: cancelling ctx (or
-// passing one with a deadline) terminates the evaluation with a LOPS0001
-// error. The interpreter's Limits apply on top of ctx.
+// Eval evaluates the module body under ctx (nil means background). ctxItem
+// may be nil (no context item); vars pre-binds external variables by name
+// (without '$'). Cancelling ctx (or passing one with a deadline) terminates
+// the evaluation with a LOPS0001 error; the interpreter's Limits apply on
+// top of ctx. st, when non-nil, is overwritten with what the evaluation
+// consumed (steps, nodes, output bytes, wall time) next to the budgets it
+// ran under; requesting stats forces resource counting even when no Limits
+// are set (the counters then never trip).
 //
-// EvalContext is the panic-containment boundary required by the public xq
-// API: any panic escaping the evaluator (including xmltree assertion
-// panics) is converted into a coded LOPS0009 error instead of crashing the
-// embedding process. Goroutine-stack overflow is the one failure Go does
-// not let us recover; the parser's nesting limits and the recursion depth
-// limit exist to keep evaluation away from it.
+// Eval is the panic-containment boundary required by the public xq API:
+// any panic escaping the evaluator (including xmltree assertion panics) is
+// converted into a coded LOPS0009 error instead of crashing the embedding
+// process. Goroutine-stack overflow is the one failure Go does not let us
+// recover; the parser's nesting limits and the recursion depth limit exist
+// to keep evaluation away from it.
 //
-// EvalContext is safe to call concurrently on one Interp: each call builds
-// its own frames and budget over the shared read-only program.
-func (ip *Interp) EvalContext(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence) (xdm.Sequence, error) {
-	return ip.EvalWithOpts(ctx, ctxItem, vars, EvalOpts{})
+// Eval is safe to call concurrently on one Interp: each call builds its own
+// frames and budget over the shared read-only program.
+func (ip *Interp) Eval(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, st *obs.EvalStats) (xdm.Sequence, error) {
+	return ip.run(ctx, ctxItem, vars, st, nil)
 }
 
-// EvalOpts are per-evaluation observability options, layered on top of the
-// Interp's Options for one EvalWithOpts call.
-type EvalOpts struct {
-	// Stats, when non-nil, is overwritten with what the evaluation
-	// consumed (steps, nodes, output bytes, wall time) next to the budgets
-	// it ran under. Requesting stats forces resource counting even when no
-	// Limits are set; the counters then never trip.
-	Stats *obs.EvalStats
-}
-
-// EvalWithOpts is EvalContext plus per-evaluation observability: it fills
-// eo.Stats (when non-nil) and reports structured events — including
-// fn:trace sites the optimizer eliminated — to the configured Tracer.
-func (ip *Interp) EvalWithOpts(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, eo EvalOpts) (out xdm.Sequence, err error) {
+// run is the one evaluation boundary behind Eval and Transform: it builds
+// the evaluation context and budget, contains panics, reports the elided
+// trace sites, binds external and prolog variables, then runs the query
+// body — or, when pul is non-nil, the update statements and their one-pass
+// apply (see update.go) — and finally fills st and flushes the elision
+// count into the process registry.
+func (ip *Interp) run(ctx context.Context, ctxItem xdm.Item, vars map[string]xdm.Sequence, st *obs.EvalStats, pul *pulState) (out xdm.Sequence, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
-			err = &Error{Code: CodePanic, Msg: fmt.Sprintf("internal panic contained at Eval boundary: %v", r)}
+			boundary := "Eval"
+			if pul != nil {
+				boundary = "Transform"
+			}
+			err = &Error{Code: CodePanic, Msg: fmt.Sprintf("internal panic contained at %s boundary: %v", boundary, r)}
 		}
 	}()
 	p := ip.prog
 	c := &evalCtx{
 		ip:      ip,
-		bud:     newBudget(ctx, ip.opts.Limits, eo.Stats != nil),
+		bud:     newBudget(ctx, ip.opts.Limits, st != nil),
 		tr:      ip.opts.Tracer,
 		frame:   make([]xdm.Sequence, p.frameSize),
 		globals: make([]xdm.Sequence, len(p.globalNames)),
 		gset:    make([]bool, len(p.globalNames)),
 	}
-	var start time.Time
-	if eo.Stats != nil {
-		start = time.Now()
-		defer func() { ip.fillStats(eo.Stats, c.bud, time.Since(start)) }()
+	if st != nil {
+		start := time.Now()
+		defer func() { ip.fillStats(st, c.bud, pul, time.Since(start)) }()
 	}
 	defer func() {
 		if c.bud != nil && c.bud.shapeElided > 0 {
@@ -298,28 +293,32 @@ func (ip *Interp) EvalWithOpts(ctx context.Context, ctxItem xdm.Item, vars map[s
 	}
 	// Prolog variables evaluate in order, each seeing the external
 	// variables plus the prolog variables before it.
-	for _, st := range p.prolog {
-		if st.init == nil {
-			if !c.gset[st.slot] {
-				return nil, &Error{Code: "XPDY0002", Pos: st.pos,
-					Msg: fmt.Sprintf("external variable $%s not supplied", st.name)}
+	for _, ps := range p.prolog {
+		if ps.init == nil {
+			if !c.gset[ps.slot] {
+				return nil, &Error{Code: "XPDY0002", Pos: ps.pos,
+					Msg: fmt.Sprintf("external variable $%s not supplied", ps.name)}
 			}
 			continue
 		}
-		val, err := st.init(c)
+		val, err := ps.init(c)
 		if err != nil {
 			return nil, err
 		}
-		c.globals[st.slot] = val
-		c.gset[st.slot] = true
+		c.globals[ps.slot] = val
+		c.gset[ps.slot] = true
+	}
+	if pul != nil {
+		return nil, c.applyStmts(pul)
 	}
 	return p.body(c)
 }
 
 // fillStats copies the evaluation's resource consumption and budgets into
-// st. Runs in a defer so stats are reported for failed (and even panicked)
-// evaluations too.
-func (ip *Interp) fillStats(st *obs.EvalStats, b *budget, wall time.Duration) {
+// st, plus what an update program's apply did when pul is non-nil. Runs in
+// a defer so stats are reported for failed (and even panicked) evaluations
+// too.
+func (ip *Interp) fillStats(st *obs.EvalStats, b *budget, pul *pulState, wall time.Duration) {
 	l := ip.opts.Limits
 	*st = obs.EvalStats{
 		MaxSteps:       l.MaxSteps,
@@ -333,16 +332,9 @@ func (ip *Interp) fillStats(st *obs.EvalStats, b *budget, wall time.Duration) {
 		st.TraceEvents = b.traceHits
 		st.ShapeChecksElided = b.shapeElided
 	}
-}
-
-// EvalString is a convenience for tests and tools: evaluate and serialize
-// the result (nodes as XML, atomics as string values, space-separated).
-func (ip *Interp) EvalString(ctxItem xdm.Item, vars map[string]xdm.Sequence) (string, error) {
-	seq, err := ip.Eval(ctxItem, vars)
-	if err != nil {
-		return "", err
+	if pul != nil {
+		st.UpdatesApplied, st.SpineNodes = pul.applied.Applied, pul.applied.SpineNodes
 	}
-	return SerializeSeq(seq), nil
 }
 
 // SerializeSeq renders a sequence for display: nodes as XML, atomic values

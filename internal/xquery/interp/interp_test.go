@@ -20,12 +20,21 @@ func run(t *testing.T, src string) string {
 	return out
 }
 
+// evalString evaluates and serializes the result, as the CLIs print it.
+func evalString(ip *Interp, ctxItem xdm.Item, vars map[string]xdm.Sequence) (string, error) {
+	seq, err := ip.Eval(nil, ctxItem, vars, nil)
+	if err != nil {
+		return "", err
+	}
+	return SerializeSeq(seq), nil
+}
+
 func runE(src string) (string, error) {
 	ip, err := Compile(src, Options{})
 	if err != nil {
 		return "", err
 	}
-	return ip.EvalString(nil, nil)
+	return evalString(ip, nil, nil)
 }
 
 // runCtx evaluates src with a context document parsed from docSrc.
@@ -36,7 +45,7 @@ func runCtx(t *testing.T, src, docSrc string) string {
 		t.Fatalf("compile %q: %v", src, err)
 	}
 	doc := xmltree.MustParse(docSrc)
-	out, err := ip.EvalString(xdm.NewNode(doc), nil)
+	out, err := evalString(ip, xdm.NewNode(doc), nil)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
@@ -140,7 +149,7 @@ func TestAttributeFoldingDuplicates(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		return ip.EvalString(nil, nil)
+		return evalString(ip, nil, nil)
 	}
 	// Draft semantics: one of the duplicates survives. The paper shows the
 	// two legal outcomes <el b="3" a="1"/> and <el b="3" a="2"/> (attribute
@@ -399,7 +408,7 @@ func TestRecursionLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ip.Eval(nil, nil)
+	_, err = ip.Eval(nil, nil, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "LOPS0003") {
 		t.Fatalf("want recursion limit error, got %v", err)
 	}
@@ -422,11 +431,11 @@ func TestExternalVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, map[string]xdm.Sequence{"input": xdm.Singleton(xdm.Integer(21))})
+	out, err := evalString(ip, nil, map[string]xdm.Sequence{"input": xdm.Singleton(xdm.Integer(21))})
 	if err != nil || out != "42" {
 		t.Fatalf("external var: %q, %v", out, err)
 	}
-	if _, err := ip.Eval(nil, nil); err == nil {
+	if _, err := ip.Eval(nil, nil, nil, nil); err == nil {
 		t.Fatal("missing external var should error")
 	}
 }
@@ -625,7 +634,7 @@ func TestTraceVariadic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
+	out, err := evalString(ip, nil, nil)
 	if err != nil || out != "6" {
 		t.Fatalf("trace returns last arg: %q, %v", out, err)
 	}
@@ -646,7 +655,7 @@ func TestDocFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
+	out, err := evalString(ip, nil, nil)
 	if err != nil || out != "2" {
 		t.Fatalf("doc(): %q, %v", out, err)
 	}
@@ -654,7 +663,7 @@ func TestDocFunction(t *testing.T) {
 	ip2, _ := Compile(`doc("missing.xml")`, Options{
 		DocResolver: func(string) (*xmltree.Node, error) { return nil, fmt.Errorf("nope") },
 	})
-	if _, err := ip2.Eval(nil, nil); err == nil {
+	if _, err := ip2.Eval(nil, nil, nil, nil); err == nil {
 		t.Fatal("missing doc should error")
 	}
 }

@@ -19,7 +19,7 @@ func evalLimited(t *testing.T, src string, lim Limits, opts Options) error {
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	_, err = ip.Eval(nil, nil)
+	_, err = ip.Eval(nil, nil, nil, nil)
 	return err
 }
 
@@ -93,7 +93,7 @@ func TestContextCancellationTerminatesEval(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, evalErr := ip.EvalContext(ctx, nil, nil)
+	_, evalErr := ip.Eval(ctx, nil, nil, nil)
 	wantCode(t, evalErr, CodeTimeout)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v to take effect", elapsed)
@@ -146,7 +146,7 @@ func TestDepthErrorRemainsCatchable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
+	out, err := evalString(ip, nil, nil)
 	if err != nil {
 		t.Fatalf("catch should have handled the depth error: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestPanicContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, evalErr := ip.Eval(nil, nil)
+	_, evalErr := ip.Eval(nil, nil, nil, nil)
 	wantCode(t, evalErr, CodePanic)
 	if !strings.Contains(evalErr.Error(), "host tracer exploded") {
 		t.Fatalf("contained panic should carry the panic value: %v", evalErr)
@@ -176,7 +176,7 @@ func TestUnlimitedEvalStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
+	out, err := evalString(ip, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

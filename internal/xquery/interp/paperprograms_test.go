@@ -43,7 +43,7 @@ func TestPaperTrigonometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range []float64{0, 0.5, 1, 1.5707963, 3.1415926, -1.2} {
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"x": xdm.Singleton(xdm.Double(x))})
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{"x": xdm.Singleton(xdm.Double(x))}, nil)
 		if err != nil {
 			t.Fatalf("sin(%v): %v", x, err)
 		}
@@ -62,7 +62,7 @@ func TestQuickTrigAgreesWithGo(t *testing.T) {
 	}
 	f := func(milli int16) bool {
 		x := float64(milli%3000) / 1000 // [-3, 3)
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"x": xdm.Singleton(xdm.Double(x))})
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{"x": xdm.Singleton(xdm.Double(x))}, nil)
 		if err != nil {
 			return false
 		}
@@ -100,10 +100,10 @@ func TestPaperBinarySearch(t *testing.T) {
 		for i, v := range sorted {
 			seq[i] = xdm.Integer(v)
 		}
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{
 			"s":   seq,
 			"key": xdm.Singleton(xdm.Integer(key)),
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("bsearch: %v", err)
 		}
@@ -151,10 +151,10 @@ func TestQuickBinarySearchAgreesWithGo(t *testing.T) {
 				wantIdx = i + 1
 			}
 		}
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{
 			"s":   seq,
 			"key": xdm.Singleton(xdm.Integer(key)),
-		})
+		}, nil)
 		if err != nil {
 			return false
 		}

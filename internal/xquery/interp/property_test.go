@@ -28,7 +28,7 @@ func TestQuickSequenceFunctionsAgreeWithGo(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(vals []int16) bool {
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"s": intSeq(vals)})
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{"s": intSeq(vals)}, nil)
 		if err != nil || len(out) != 4 {
 			return false
 		}
@@ -61,10 +61,10 @@ func TestQuickPositionalPredicate(t *testing.T) {
 	}
 	f := func(vals []int16, idx uint8) bool {
 		i := int(idx)%20 + 1
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{
 			"s": intSeq(vals),
 			"i": xdm.Singleton(xdm.Integer(i)),
-		})
+		}, nil)
 		if err != nil {
 			return false
 		}
@@ -85,7 +85,7 @@ func TestQuickFLWORSortAgreesWithGo(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(vals []int16) bool {
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"s": intSeq(vals)})
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{"s": intSeq(vals)}, nil)
 		if err != nil || len(out) != len(vals) {
 			return false
 		}
@@ -144,11 +144,11 @@ func TestQuickDoubleSlashEquivalence(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		doc := xmltree.MustParse(randomTreeSrc(r))
 		ctx := xdm.NewNode(doc)
-		a, err := abbrev.Eval(ctx, nil)
+		a, err := abbrev.Eval(nil, ctx, nil, nil)
 		if err != nil {
 			return false
 		}
-		b, err := expanded.Eval(ctx, nil)
+		b, err := expanded.Eval(nil, ctx, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -170,7 +170,7 @@ func TestQuickDoubleSlashEquivalence(t *testing.T) {
 			}
 			return true
 		})
-		c, err := countB.Eval(ctx, nil)
+		c, err := countB.Eval(nil, ctx, nil, nil)
 		return err == nil && int(c[0].(xdm.Integer)) == walked
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -180,7 +180,7 @@ func TestQuickDoubleSlashEquivalence(t *testing.T) {
 
 // Eval is a test helper on Interp for property tests with a context item.
 func (ip *Interp) evalCtxItem(ctx xdm.Item) (xdm.Sequence, error) {
-	return ip.Eval(ctx, nil)
+	return ip.Eval(nil, ctx, nil, nil)
 }
 
 // TestQuickUnionIdempotent: X | X == X in doc order for random node sets.
@@ -223,10 +223,10 @@ func TestQuickStringFunctionsAgreeWithGo(t *testing.T) {
 	}
 	f := func(rawA, rawB string) bool {
 		a, bs := clean(rawA), clean(rawB)
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{
 			"a": xdm.Singleton(xdm.String(a)),
 			"b": xdm.Singleton(xdm.String(bs)),
-		})
+		}, nil)
 		if err != nil || len(out) != 3 {
 			return false
 		}
@@ -248,10 +248,10 @@ func TestQuickTryCatchTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(a, b int16) bool {
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{
 			"a": xdm.Singleton(xdm.Integer(a)),
 			"b": xdm.Singleton(xdm.Integer(b)),
-		})
+		}, nil)
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -290,7 +290,7 @@ func TestQuickParserNeverPanics(t *testing.T) {
 		if err != nil {
 			return true // rejected cleanly
 		}
-		_, _ = ip.Eval(nil, nil) // evaluation errors are fine too
+		_, _ = ip.Eval(nil, nil, nil, nil) // evaluation errors are fine too
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -337,7 +337,7 @@ func TestQuickIdentityCopy(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		doc := xmltree.MustParse(randomTreeSrc(r))
-		out, err := ip.Eval(nil, map[string]xdm.Sequence{"doc": xdm.Singleton(xdm.NewNode(doc))})
+		out, err := ip.Eval(nil, nil, map[string]xdm.Sequence{"doc": xdm.Singleton(xdm.NewNode(doc))}, nil)
 		if err != nil || len(out) != 1 {
 			return false
 		}

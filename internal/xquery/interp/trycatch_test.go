@@ -76,7 +76,7 @@ func TestTryCatchRecursionLimitCatchable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
+	out, err := evalString(ip, nil, nil)
 	if err != nil || out != "LOPS0003" {
 		t.Fatalf("got %q, %v", out, err)
 	}
@@ -105,11 +105,11 @@ func TestTryCatchCollapsesCeremony(t *testing.T) {
 	docVar := func(src string) map[string]xdm.Sequence {
 		return map[string]xdm.Sequence{"doc": xdm.Singleton(xdm.NewNode(xmltree.MustParse(src)))}
 	}
-	out, err := ip.EvalString(nil, docVar(`<root><c1><c2><c3/></c2></c1></root>`))
+	out, err := evalString(ip, nil, docVar(`<root><c1><c2><c3/></c2></c1></root>`))
 	if err != nil || out != "c3" {
 		t.Fatalf("success path: %q %v", out, err)
 	}
-	out, err = ip.EvalString(nil, docVar(`<root><c1><c2/></c1></root>`))
+	out, err = evalString(ip, nil, docVar(`<root><c1><c2/></c1></root>`))
 	if err != nil || !strings.Contains(out, "trouble: no child named c3") {
 		t.Fatalf("failure path: %q %v", out, err)
 	}

@@ -60,7 +60,7 @@ func runBib(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	out, err := ip.EvalString(bibDoc(t), nil)
+	out, err := evalString(ip, bibDoc(t), nil)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}

@@ -68,7 +68,10 @@ type Stats struct {
 }
 
 // Optimize rewrites the module in place (expressions are replaced, shared
-// subtrees are never mutated) and returns statistics.
+// subtrees are never mutated) and returns statistics. An update program's
+// prolog gets exactly the query treatment, and every expression embedded in
+// its statements runs the same rewrite pipeline as a query body (see
+// update.go).
 func Optimize(mod *ast.Module, opts Options) Stats {
 	o := &optimizer{opts: opts, userFuncs: map[string]bool{}, scope: map[string]int{}}
 	for _, f := range mod.Functions {
@@ -96,7 +99,11 @@ func Optimize(mod *ast.Module, opts Options) Stats {
 			v.Val = o.rewrite(v.Val)
 		}
 	}
-	mod.Body = o.rewrite(mod.Body)
+	if mod.IsUpdate() {
+		mod.Stmts = o.rewriteStmts(mod.Stmts)
+	} else {
+		mod.Body = o.rewrite(mod.Body)
+	}
 	mod.ElidedTraces = o.elided
 	return o.stats
 }

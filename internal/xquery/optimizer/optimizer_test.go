@@ -27,11 +27,11 @@ func evalOpt(t *testing.T, src string, opts Options) (string, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(nil, nil)
+	seq, err := ip.Eval(nil, nil, nil, nil)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
-	return out, traced
+	return interp.SerializeSeq(seq), traced
 }
 
 // TestTraceDeadCodeAnecdote reproduces the paper's central debugging story:
@@ -421,7 +421,7 @@ func TestDeadLetUnboundVarKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ip.EvalString(nil, nil); err == nil {
+	if _, err := ip.Eval(nil, nil, nil, nil); err == nil {
 		t.Fatal("unbound variable in a dead let must still raise XPST0008 at O2")
 	}
 }

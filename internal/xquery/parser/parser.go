@@ -43,7 +43,11 @@ func (p *Parser) enter() error {
 func (p *Parser) leave() { p.depth-- }
 
 // Parse parses a complete main module (prolog + body expression).
-func Parse(src string) (*ast.Module, error) {
+func Parse(src string) (*ast.Module, error) { return parseModule(src, false) }
+
+// parseModule parses the prolog shared by both program kinds, then a body
+// expression (query) or a statement list (update program, see update.go).
+func parseModule(src string, update bool) (*ast.Module, error) {
 	p := &Parser{lx: lexer.New(src)}
 	if err := p.next(); err != nil {
 		return nil, err
@@ -51,6 +55,17 @@ func Parse(src string) (*ast.Module, error) {
 	mod := &ast.Module{Namespaces: map[string]string{}}
 	if err := p.parseProlog(mod); err != nil {
 		return nil, err
+	}
+	if update {
+		stmts, err := p.parseStmtSeq()
+		if err != nil {
+			return nil, err
+		}
+		if p.tok.Kind != lexer.EOF {
+			return nil, p.errf("unexpected %s %q after end of update program", p.tok.Kind, p.tok.Text)
+		}
+		mod.Stmts = stmts
+		return mod, nil
 	}
 	body, err := p.parseExpr()
 	if err != nil {

@@ -26,25 +26,8 @@ import (
 
 // ParseUpdate parses a complete update program: a main-module prolog
 // (namespace/function/variable declarations, shared with query programs)
-// followed by a semicolon-sequenced statement list.
-func ParseUpdate(src string) (*ast.UpdateModule, error) {
-	p := &Parser{lx: lexer.New(src)}
-	if err := p.next(); err != nil {
-		return nil, err
-	}
-	mod := &ast.Module{Namespaces: map[string]string{}}
-	if err := p.parseProlog(mod); err != nil {
-		return nil, err
-	}
-	stmts, err := p.parseStmtSeq()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.Kind != lexer.EOF {
-		return nil, p.errf("unexpected %s %q after end of update program", p.tok.Kind, p.tok.Text)
-	}
-	return &ast.UpdateModule{Prolog: mod, Stmts: stmts}, nil
-}
+// followed by a semicolon-sequenced statement list, held in Module.Stmts.
+func ParseUpdate(src string) (*ast.Module, error) { return parseModule(src, true) }
 
 // parseStmtSeq parses one or more statements separated by semicolons. A
 // trailing semicolon before EOF or ')' is accepted.

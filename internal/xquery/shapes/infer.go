@@ -104,26 +104,17 @@ func funcKey(name string, arity int) string {
 }
 
 // InferModule runs inference over a full (optimized) main module, returning
-// per-expression shapes, inevitable-error diagnostics, and warnings.
+// per-expression shapes, inevitable-error diagnostics, and warnings. Update
+// statements never receive diagnostics (the statement pipeline has its own
+// oracle and error order); their shapes serve EXPLAIN and check elision only.
 func InferModule(mod *ast.Module) *Info {
 	a := newAnalyzer()
-	a.diags = true
+	a.diags = !mod.IsUpdate()
 	a.bindProlog(mod)
 	if mod.Body != nil {
 		a.infer(mod.Body, true)
 	}
-	return a.info
-}
-
-// InferUpdateModule runs inference over an update program. Update statements
-// never receive diagnostics (the statement pipeline has its own oracle and
-// error order); shapes serve EXPLAIN and check elision only.
-func InferUpdateModule(um *ast.UpdateModule) *Info {
-	a := newAnalyzer()
-	if um.Prolog != nil {
-		a.bindProlog(um.Prolog)
-	}
-	for _, st := range um.Stmts {
+	for _, st := range mod.Stmts {
 		a.inferStmt(st)
 	}
 	return a.info

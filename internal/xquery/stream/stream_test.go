@@ -34,11 +34,11 @@ func evalFull(t *testing.T, src, doc string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ip.EvalString(xdm.NewNode(d), nil)
+	out, err := ip.Eval(nil, xdm.NewNode(d), nil, nil)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
-	return out
+	return interp.SerializeSeq(out)
 }
 
 // classifyQuery parses, optionally optimizes, and classifies.

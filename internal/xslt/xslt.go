@@ -14,6 +14,7 @@
 package xslt
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -129,7 +130,7 @@ func (x *executor) xpath(expr string, ctx *xmltree.Node) (xdm.Sequence, error) {
 		ce = &compiledExpr{ip: ip}
 		x.exprs[expr] = ce
 	}
-	return ce.ip.Eval(xdm.NewNode(ctx), nil)
+	return ce.ip.Eval(context.TODO(), xdm.NewNode(ctx), nil, nil)
 }
 
 func (x *executor) xpathNodes(expr string, ctx *xmltree.Node) ([]*xmltree.Node, error) {

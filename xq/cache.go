@@ -3,7 +3,6 @@ package xq
 import (
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"lopsided/internal/obs"
 	"lopsided/internal/xquery/interp"
@@ -69,11 +68,6 @@ type planShard struct {
 var (
 	planShards [planCacheShards]planShard
 	planSeed   = maphash.MakeSeed()
-
-	// Cache effectiveness counters, exposed via CacheStats.
-	planHits      atomic.Int64
-	planMisses    atomic.Int64
-	planEvictions atomic.Int64
 )
 
 func shardFor(key *planKey) *planShard {
@@ -109,28 +103,20 @@ func shardFor(key *planKey) *planShard {
 // entries are evicted (recompiling is always safe). EvalStats.PlanCacheHit
 // and the process metrics record hit/miss/eviction traffic.
 func CompileCached(src string, opts ...Option) (*Query, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return compileCached(src, cfg, false, compileModule)
+	return compileCached(src, opts, false)
 }
 
 // CompileUpdateCached is CompileUpdate backed by the same process-wide plan
 // cache as CompileCached; update plans and query plans never collide even
 // for identical source text.
 func CompileUpdateCached(src string, opts ...Option) (*Query, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return compileCached(src, cfg, true, compileUpdateModule)
+	return compileCached(src, opts, true)
 }
 
 // compileCached is the shared cache lookup behind CompileCached and
-// CompileUpdateCached; compile runs the pipeline on a miss.
-func compileCached(src string, cfg config, update bool,
-	compile func(string, config) (*interp.Program, optimizer.Stats, error)) (*Query, error) {
+// CompileUpdateCached; a miss runs compileModule.
+func compileCached(src string, opts []Option, update bool) (*Query, error) {
+	cfg := newConfig(opts)
 	key := planKey{
 		src:            src,
 		optLevel:       cfg.optLevel,
@@ -159,14 +145,12 @@ func compileCached(src string, cfg config, update bool,
 	// serialize on the entry's Once, not on the shard.
 	e.once.Do(func() {
 		missed = true
-		e.prog, e.stats, e.err = compile(src, cfg)
+		e.prog, e.stats, e.err = compileModule(src, cfg, update)
 	})
 	reg := obs.Default()
 	if missed {
-		planMisses.Add(1)
 		reg.PlanCacheMisses.Add(1)
 	} else {
-		planHits.Add(1)
 		reg.PlanCacheHits.Add(1)
 	}
 	if e.err != nil {
@@ -188,7 +172,6 @@ func evictShardLocked(sh *planShard) {
 			break
 		}
 		delete(sh.m, k)
-		planEvictions.Add(1)
 		reg.PlanCacheEvictions.Add(1)
 	}
 }
@@ -209,12 +192,14 @@ type CacheStats struct {
 	SourceBytes int64
 }
 
-// PlanCache reports the plan cache's current statistics.
+// PlanCache reports the plan cache's current statistics. The traffic
+// counters are the process registry's (MetricsSnapshot's PlanCache*).
 func PlanCache() CacheStats {
+	reg := obs.Default()
 	st := CacheStats{
-		Hits:      planHits.Load(),
-		Misses:    planMisses.Load(),
-		Evictions: planEvictions.Load(),
+		Hits:      reg.PlanCacheHits.Load(),
+		Misses:    reg.PlanCacheMisses.Load(),
+		Evictions: reg.PlanCacheEvictions.Load(),
 	}
 	for i := range planShards {
 		sh := &planShards[i]

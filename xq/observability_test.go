@@ -214,6 +214,77 @@ func TestEvalStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestEveryEntryPointObserved: a successful call through each evaluation
+// entry point — Eval, Transform, and EvalReader on each streaming tier —
+// records exactly one evaluation and one latency sample, and fills
+// PlanCacheHit over whatever the stats struct held before.
+func TestEveryEntryPointObserved(t *testing.T) {
+	const docSrc = `<r><item>1</item><item>2</item></r>`
+	cached := func(src string, update bool) *xq.Query {
+		compile := xq.CompileCached
+		if update {
+			compile = xq.CompileUpdateCached
+		}
+		var q *xq.Query
+		for i := 0; i < 2; i++ { // the second compile is a cache hit
+			var err error
+			if q, err = compile(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return q
+	}
+	stream := func(opts ...xq.Option) *xq.StreamQuery {
+		q, err := xq.CompileStream(`count(//item)`, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	read := func(q *xq.StreamQuery) func(*xq.EvalStats) error {
+		return func(st *xq.EvalStats) error {
+			_, err := q.EvalReader(nil, strings.NewReader(docSrc), xq.WithStats(st))
+			return err
+		}
+	}
+	eval := cached(`(: observed :) count(//item)`, false)
+	transform := cached(`(: observed :) delete //item`, true)
+	cases := []struct {
+		name    string
+		run     func(*xq.EvalStats) error
+		wantHit bool
+	}{
+		{"Eval", func(st *xq.EvalStats) error {
+			_, err := eval.Eval(nil, mustDoc(t, docSrc), xq.WithStats(st))
+			return err
+		}, true},
+		{"Transform", func(st *xq.EvalStats) error {
+			_, err := transform.Transform(nil, mustDoc(t, docSrc), xq.WithStats(st))
+			return err
+		}, true},
+		{"EvalReader/full-stream", read(stream()), false},
+		{"EvalReader/projected", read(stream(xq.WithStreamEval(false))), false},
+		{"EvalReader/materialize", read(stream(xq.WithStreamEval(false), xq.WithProjection(false))), false},
+	}
+	for _, tc := range cases {
+		st := xq.EvalStats{PlanCacheHit: !tc.wantHit}
+		before := xq.MetricsSnapshot()
+		if err := tc.run(&st); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		after := xq.MetricsSnapshot()
+		if d := after.Evals - before.Evals; d != 1 {
+			t.Errorf("%s: Evals advanced by %d, want 1", tc.name, d)
+		}
+		if d := after.EvalLatency.Count - before.EvalLatency.Count; d != 1 {
+			t.Errorf("%s: EvalLatency.Count advanced by %d, want 1", tc.name, d)
+		}
+		if st.PlanCacheHit != tc.wantHit {
+			t.Errorf("%s: PlanCacheHit = %v, want %v", tc.name, st.PlanCacheHit, tc.wantHit)
+		}
+	}
+}
+
 // TestStatsOnFailedEval: the stats struct is filled even when the
 // evaluation dies on a budget, so a slow-query log can report what the
 // run had consumed.

@@ -21,9 +21,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
-	"lopsided/internal/obs"
 	"lopsided/internal/xmltree"
 	"lopsided/internal/xquery/interp"
 	"lopsided/internal/xquery/project"
@@ -117,10 +115,7 @@ func (q *StreamQuery) mode(cfg config) StreamMode {
 // query's defaults for this evaluation alone, exactly like Eval; WithStats
 // additionally fills StreamMode, BytesScanned, and NodesPruned.
 func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Option) (string, error) {
-	cfg := q.cfg
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := q.configure(opts)
 	if ctx == nil {
 		ctx = q.ctx
 	}
@@ -128,42 +123,54 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 		return "", &interp.Error{Code: "XPST0003",
 			Msg: "EvalReader called on an update program (use Transform)"}
 	}
-	// The projected and materialized trees below live for this one
-	// evaluation, so they stay unfrozen: indexing one would cost a full
-	// DocIndex build to answer a single lookup the tree walk answers.
-	switch q.mode(cfg) {
-	case StreamFull:
-		return q.evalFullStream(r, cfg)
-	case StreamProjected:
-		doc, pst, err := xmltree.ParseProjectedUnfrozen(r, q.proj, xmltree.ParseOptions{})
-		if err != nil {
-			obs.Default().Evals.Add(1)
-			obs.Default().EvalErrors.Add(1)
-			return "", err
-		}
-		out, err := q.EvalString(ctx, doc, opts...)
-		// EvalWithOpts overwrote the stats struct; the streaming fields go
-		// in afterwards.
-		if cfg.stats != nil {
-			cfg.stats.StreamMode = StreamProjected.String()
-			cfg.stats.BytesScanned = pst.BytesRead
-			cfg.stats.NodesPruned = pst.ElementsPruned
-		}
-		return out, err
+	mode := q.mode(cfg)
+	var (
+		out             string
+		scanned, pruned int64
+		err             error
+	)
+	if mode == StreamFull {
+		err = q.observe(&cfg, "eval", func() (err error) {
+			var sst stream.Stats
+			out, sst, err = q.plan.Run(r, xmltree.ParseOptions{})
+			scanned = sst.BytesScanned
+			return err
+		})
+	} else {
+		out, scanned, pruned, err = q.evalTree(ctx, &cfg, opts, mode, r)
 	}
-	cr := &countingReader{r: r}
-	doc, err := xmltree.ParseReader(cr)
-	if err != nil {
-		obs.Default().Evals.Add(1)
-		obs.Default().EvalErrors.Add(1)
-		return "", err
-	}
-	out, err := q.EvalString(ctx, doc, opts...)
 	if cfg.stats != nil {
-		cfg.stats.StreamMode = StreamMaterialize.String()
-		cfg.stats.BytesScanned = cr.n
+		cfg.stats.StreamMode = mode.String()
+		cfg.stats.BytesScanned = scanned
+		cfg.stats.NodesPruned = pruned
 	}
 	return out, err
+}
+
+// evalTree parses r — pruned to the projection on the projected tier — and
+// evaluates the query against the tree. A malformed document counts as a
+// failed evaluation like any other. The tree lives for this one evaluation,
+// so it stays unfrozen: indexing it would cost a full DocIndex build to
+// answer a single lookup the tree walk answers.
+func (q *StreamQuery) evalTree(ctx context.Context, cfg *config, opts []Option, mode StreamMode, r io.Reader) (out string, scanned, pruned int64, err error) {
+	var doc *Node
+	if mode == StreamProjected {
+		var pst xmltree.ProjStats
+		doc, pst, err = xmltree.ParseProjectedUnfrozen(r, q.proj, xmltree.ParseOptions{})
+		scanned, pruned = pst.BytesRead, pst.ElementsPruned
+	} else {
+		cr := &countingReader{r: r}
+		doc, err = xmltree.ParseReader(cr)
+		scanned = cr.n
+	}
+	if err != nil {
+		return "", scanned, pruned, q.observe(cfg, "eval", func() error { return err })
+	}
+	seq, err := q.eval(ctx, q.runtime(cfg, opts), cfg, doc)
+	if err != nil {
+		return "", scanned, pruned, err
+	}
+	return Serialize(seq), scanned, pruned, nil
 }
 
 // countingReader counts the bytes the materializing parse consumed, so the
@@ -194,35 +201,6 @@ func (q *StreamQuery) ParseProjected(r io.Reader) (*Node, error) {
 		return xmltree.Freeze(doc), nil
 	}
 	return xmltree.ParseProjected(r, q.proj)
-}
-
-// evalFullStream runs the SAX plan, reporting through the same metrics and
-// stats surfaces Eval uses.
-func (q *StreamQuery) evalFullStream(r io.Reader, cfg config) (string, error) {
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: "eval"})
-	}
-	reg := obs.Default()
-	start := time.Now()
-	out, sst, err := q.plan.Run(r, xmltree.ParseOptions{})
-	wall := time.Since(start)
-	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: "eval", Elapsed: wall})
-	}
-	reg.Evals.Add(1)
-	reg.EvalLatency.Observe(wall)
-	if err != nil {
-		reg.EvalErrors.Add(1)
-	}
-	if cfg.stats != nil {
-		*cfg.stats = EvalStats{
-			Wall:         wall,
-			PlanCacheHit: q.cacheHit,
-			StreamMode:   StreamFull.String(),
-			BytesScanned: sst.BytesScanned,
-		}
-	}
-	return out, err
 }
 
 // Explain extends the embedded Query's plan dump with the streaming

@@ -127,6 +127,50 @@ func TestStreamEvalReaderStats(t *testing.T) {
 	}
 }
 
+// TestEvalReaderParseFailureObserved: a malformed document is a failed
+// evaluation on every tier, reported the same way — the stats struct is
+// overwritten (no stale contents survive) and the registry records exactly
+// one evaluation, one latency sample and one error.
+func TestEvalReaderParseFailureObserved(t *testing.T) {
+	const bad = `<r><item/><item>`
+	tiers := []struct {
+		mode StreamMode
+		opts []Option
+	}{
+		{StreamFull, nil},
+		{StreamProjected, []Option{WithStreamEval(false)}},
+		{StreamMaterialize, []Option{WithStreamEval(false), WithProjection(false)}},
+	}
+	for _, tc := range tiers {
+		q := compileStream(t, `count(//item)`, tc.opts...)
+		if q.Mode() != tc.mode {
+			t.Fatalf("Mode() = %v, want %v", q.Mode(), tc.mode)
+		}
+		st := EvalStats{Steps: 999, StreamMode: "stale"}
+		before := MetricsSnapshot()
+		_, err := q.EvalReader(context.Background(), strings.NewReader(bad), WithStats(&st))
+		after := MetricsSnapshot()
+		if err == nil {
+			t.Fatalf("%v: malformed document evaluated without error", tc.mode)
+		}
+		if st.StreamMode != tc.mode.String() || st.Steps != 0 {
+			t.Errorf("%v: stats not overwritten: %+v", tc.mode, st)
+		}
+		for _, c := range []struct {
+			name          string
+			before, after int64
+		}{
+			{"Evals", before.Evals, after.Evals},
+			{"EvalLatency.Count", before.EvalLatency.Count, after.EvalLatency.Count},
+			{"EvalErrors", before.EvalErrors, after.EvalErrors},
+		} {
+			if d := c.after - c.before; d != 1 {
+				t.Errorf("%v: %s advanced by %d, want 1", tc.mode, c.name, d)
+			}
+		}
+	}
+}
+
 func TestStreamLimitsForceFallback(t *testing.T) {
 	// The SAX evaluator cannot charge resource budgets, so configured limits
 	// must push the query down a tier rather than bypass the sandbox.

@@ -164,6 +164,37 @@ func TestTransformErrorCodes(t *testing.T) {
 	}
 }
 
+// TestTransformBoundaryErrors pins the evaluation boundary Transform shares
+// with Eval: panic containment, external-variable checks, and the missing
+// context tree.
+func TestTransformBoundaryErrors(t *testing.T) {
+	panicky := xq.WithTracer(xq.TraceFunc(func([]string) { panic("tracer bug") }))
+	cases := []struct {
+		name, prog string
+		doc        *xq.Node
+		opts       []xq.Option
+		code, msg  string
+	}{
+		{"tracer-panic", `insert <t>{trace("x", 1)}</t> into /a`, mustDoc(t, `<a/>`),
+			[]xq.Option{panicky}, "LOPS0009", "internal panic contained at Transform boundary"},
+		{"unbound-external", `declare variable $v external; insert <t>{$v}</t> into /a`,
+			mustDoc(t, `<a/>`), nil, "XPDY0002", "external variable $v not supplied"},
+		{"nil-doc", `delete //b`, nil, nil, "XPDY0002", "Transform needs a context tree to update"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			up, err := xq.CompileUpdate(tc.prog)
+			if err != nil {
+				t.Fatalf("CompileUpdate: %v", err)
+			}
+			out, err := up.Transform(context.Background(), tc.doc, tc.opts...)
+			if out != nil || xq.ErrorCode(err) != tc.code || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("Transform = %v, %v; want %s %q", out, err, tc.code, tc.msg)
+			}
+		})
+	}
+}
+
 func TestTransformKindMismatch(t *testing.T) {
 	q := xq.MustCompile(`//b`)
 	if _, err := q.Transform(nil, mustDoc(t, `<a/>`)); err == nil {

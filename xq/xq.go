@@ -179,7 +179,14 @@ type config struct {
 	noStreamEval bool
 }
 
-func defaultConfig() config { return config{optLevel: O2, traceIsEffectful: true} }
+// newConfig returns the defaults with opts applied.
+func newConfig(opts []Option) config {
+	cfg := config{optLevel: O2, traceIsEffectful: true}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
 
 func (c *config) interpOptions() interp.Options {
 	return interp.Options{
@@ -298,10 +305,11 @@ type Query struct {
 	cacheHit bool
 }
 
-// compileModule runs parse → optimize → lower with metrics and (when a
-// tracer is configured) phase events. It is the one compilation path shared
-// by Compile and CompileCached.
-func compileModule(src string, cfg config) (*interp.Program, optimizer.Stats, error) {
+// compileModule runs parse → optimize → shapes → lower with metrics and
+// (when a tracer is configured) phase events. It is the one compilation
+// path behind Compile, CompileUpdate and both cached variants; update
+// selects the update-program grammar.
+func compileModule(src string, cfg config, update bool) (*interp.Program, optimizer.Stats, error) {
 	obs.PublishExpvar()
 	reg := obs.Default()
 	reg.Compiles.Add(1)
@@ -321,7 +329,11 @@ func compileModule(src string, cfg config) (*interp.Program, optimizer.Stats, er
 
 	t := time.Now()
 	phase("parse", true, t)
-	mod, err := parser.Parse(src)
+	parse := parser.Parse
+	if update {
+		parse = parser.ParseUpdate
+	}
+	mod, err := parse(src)
 	phase("parse", false, t)
 	if err != nil {
 		reg.CompileErrors.Add(1)
@@ -339,7 +351,10 @@ func compileModule(src string, cfg config) (*interp.Program, optimizer.Stats, er
 	phase("optimize", false, t)
 
 	// Shape inference runs between optimize and lower so the compiler can
-	// install its check-elision fast paths over the same AST.
+	// install its check-elision fast paths over the same AST. Update
+	// programs get shape facts for check elision and EXPLAIN only:
+	// statements run conditionally by nature, so inference never produces
+	// static diagnostics for them.
 	var info *shapes.Info
 	if !cfg.noShapes {
 		t = time.Now()
@@ -350,7 +365,7 @@ func compileModule(src string, cfg config) (*interp.Program, optimizer.Stats, er
 
 	t = time.Now()
 	phase("compile", true, t)
-	prog, err := interp.NewProgramWithShapes(mod, info)
+	prog, err := interp.NewProgram(mod, info)
 	phase("compile", false, t)
 	if err != nil {
 		reg.CompileErrors.Add(1)
@@ -373,12 +388,12 @@ func compileModule(src string, cfg config) (*interp.Program, optimizer.Stats, er
 // lowered once into a closure-compiled plan with slot-resolved variables
 // and pre-bound function dispatch, so repeated evaluations pay no
 // per-evaluation analysis cost.
-func Compile(src string, opts ...Option) (*Query, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	prog, stats, err := compileModule(src, cfg)
+func Compile(src string, opts ...Option) (*Query, error) { return compile(src, opts, false) }
+
+// compile is Compile and CompileUpdate without the plan cache.
+func compile(src string, opts []Option, update bool) (*Query, error) {
+	cfg := newConfig(opts)
+	prog, stats, err := compileModule(src, cfg, update)
 	if err != nil {
 		return nil, err
 	}
@@ -421,16 +436,7 @@ func MustCompile(src string, opts ...Option) *Query {
 // boundary and surface as LOPS0009 errors — so a server can evaluate
 // untrusted queries without crashing.
 func (q *Query) Eval(ctx context.Context, doc *Node, opts ...Option) (Sequence, error) {
-	cfg := q.cfg
-	ip := q.ip
-	if len(opts) > 0 {
-		for _, o := range opts {
-			o(&cfg)
-		}
-		// Per-eval overrides get a fresh runtime wrapper over the shared
-		// immutable plan; the no-option fast path reuses the prebuilt one.
-		ip = interp.FromProgram(q.prog, cfg.interpOptions())
-	}
+	cfg := q.configure(opts)
 	if ctx == nil {
 		ctx = q.ctx
 	}
@@ -438,30 +444,68 @@ func (q *Query) Eval(ctx context.Context, doc *Node, opts ...Option) (Sequence, 
 		return nil, &interp.Error{Code: "XPST0003",
 			Msg: "Eval called on an update program (use Transform)"}
 	}
+	return q.eval(ctx, q.runtime(&cfg, opts), &cfg, doc)
+}
+
+// configure returns the query's defaults with one call's opts applied.
+func (q *Query) configure(opts []Option) config {
+	cfg := q.cfg
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// runtime returns the interpreter for one call configured by cfg from
+// opts: per-call overrides get a fresh wrapper over the shared immutable
+// plan; the no-option fast path reuses the prebuilt one.
+func (q *Query) runtime(cfg *config, opts []Option) *interp.Interp {
+	if len(opts) == 0 {
+		return q.ip
+	}
+	return interp.FromProgram(q.prog, cfg.interpOptions())
+}
+
+// eval runs the compiled query body against doc (nil: no context item).
+func (q *Query) eval(ctx context.Context, ip *interp.Interp, cfg *config, doc *Node) (Sequence, error) {
 	var it Item
 	if doc != nil {
 		it = xdm.NewNode(doc)
 	}
+	var out Sequence
+	err := q.observe(cfg, "eval", func() (err error) {
+		out, err = ip.Eval(ctx, it, cfg.vars, cfg.stats)
+		return err
+	})
+	return out, err
+}
 
+// observe runs one evaluation under the observability contract every
+// entry point shares (Eval, Transform, and each EvalReader tier, parse
+// failures included): a tracer phase around run; the registry's eval
+// count, latency, error and limit-hit counters; and, when stats were
+// requested, a reset stats struct for run to fill, completed afterwards
+// with the wall time, the plan-cache provenance and the copy-on-write,
+// pool and index deltas around run.
+func (q *Query) observe(cfg *config, phase string, run func() error) error {
 	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: "eval"})
+		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseBegin, Name: phase})
 	}
-	reg := obs.Default()
-	// Sharing/pool counters are process-wide, so per-eval numbers are
+	// Sharing/pool/index counters are process-wide, so per-eval numbers are
 	// deltas around the call; concurrent evaluations bleed into each
 	// other's deltas (the numbers stay indicative, not exact).
-	var share0 obs.SharingStats
-	var index0 obs.IndexStats
+	var before obs.LayerStats
 	if cfg.stats != nil {
-		share0 = sharingSnapshot()
-		index0 = indexSnapshot()
+		*cfg.stats = EvalStats{}
+		before = layerStats()
 	}
 	start := time.Now()
-	out, err := ip.EvalWithOpts(ctx, it, cfg.vars, interp.EvalOpts{Stats: cfg.stats})
+	err := run()
 	wall := time.Since(start)
 	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: "eval", Elapsed: wall})
+		cfg.tracer.Emit(obs.Event{Kind: obs.PhaseEnd, Name: phase, Elapsed: wall})
 	}
+	reg := obs.Default()
 	reg.Evals.Add(1)
 	reg.EvalLatency.Observe(wall)
 	if err != nil {
@@ -470,69 +514,56 @@ func (q *Query) Eval(ctx context.Context, doc *Node, opts ...Option) (Sequence, 
 			reg.LimitHits.Add(1)
 		}
 	}
-	if cfg.stats != nil {
-		cfg.stats.PlanCacheHit = q.cacheHit
-		share1 := sharingSnapshot()
-		cfg.stats.CowClones = share1.CowClones - share0.CowClones
-		cfg.stats.CowBreaks = share1.CowBreaks - share0.CowBreaks
-		cfg.stats.PoolHits = share1.PoolHits - share0.PoolHits
-		cfg.stats.PoolMisses = share1.PoolMisses - share0.PoolMisses
-		index1 := indexSnapshot()
-		cfg.stats.IndexHits = index1.Hits - index0.Hits
-		cfg.stats.IndexPrunes = index1.Prunes - index0.Prunes
-		cfg.stats.IndexFallbacks = index1.Fallbacks - index0.Fallbacks
-		cfg.stats.IndexBuilds = index1.Builds - index0.Builds
+	if st := cfg.stats; st != nil {
+		after := layerStats()
+		st.Wall = wall
+		st.PlanCacheHit = q.cacheHit
+		st.CowClones = after.Sharing.CowClones - before.Sharing.CowClones
+		st.CowBreaks = after.Sharing.CowBreaks - before.Sharing.CowBreaks
+		st.PoolHits = after.Sharing.PoolHits - before.Sharing.PoolHits
+		st.PoolMisses = after.Sharing.PoolMisses - before.Sharing.PoolMisses
+		st.IndexHits = after.Index.Hits - before.Index.Hits
+		st.IndexPrunes = after.Index.Prunes - before.Index.Prunes
+		st.IndexFallbacks = after.Index.Fallbacks - before.Index.Fallbacks
+		st.IndexBuilds = after.Index.Builds - before.Index.Builds
 	}
-	return out, err
+	return err
 }
 
-// sharingSnapshot reads the tree layer's copy-on-write and scratch-pool
-// counters in the obs shape. Registered as the obs sharing probe (the tree
-// package cannot import obs) and used for the per-eval deltas above.
-func sharingSnapshot() obs.SharingStats {
+// layerStats reads the tree, index and streaming-parse layers' counters in
+// the obs shape. Registered as the obs layer probe (those packages cannot
+// import obs) and used for the per-eval deltas above.
+func layerStats() obs.LayerStats {
 	cow := xmltree.Stats()
 	gets, misses := xmltree.PoolCounters()
-	return obs.SharingStats{
-		CowClones:        cow.Clones,
-		CowBreaks:        cow.Breaks,
-		CowDeferredNodes: cow.DeferredNodes,
-		PoolHits:         gets - misses,
-		PoolMisses:       misses,
+	ix := index.Stats()
+	sc := xmltree.StreamParseStats()
+	return obs.LayerStats{
+		Sharing: obs.SharingStats{
+			CowClones:        cow.Clones,
+			CowBreaks:        cow.Breaks,
+			CowDeferredNodes: cow.DeferredNodes,
+			PoolHits:         gets - misses,
+			PoolMisses:       misses,
+		},
+		Index: obs.IndexStats{
+			Builds:     ix.Builds,
+			BuildNanos: ix.BuildNanos,
+			Hits:       ix.Hits,
+			Prunes:     ix.Prunes,
+			Fallbacks:  ix.Fallbacks,
+		},
+		Stream: obs.StreamStats{
+			ReaderParses:     sc.ReaderParses,
+			ProjectedParses:  sc.ProjectedParses,
+			BytesScanned:     sc.BytesScanned,
+			ElementsRetained: sc.ElementsRetained,
+			ElementsPruned:   sc.ElementsPruned,
+		},
 	}
 }
 
-// indexSnapshot reads the structural/value index layer's counters in the
-// obs shape. Registered as the obs index probe and used for the per-eval
-// deltas above.
-func indexSnapshot() obs.IndexStats {
-	c := index.Stats()
-	return obs.IndexStats{
-		Builds:     c.Builds,
-		BuildNanos: c.BuildNanos,
-		Hits:       c.Hits,
-		Prunes:     c.Prunes,
-		Fallbacks:  c.Fallbacks,
-	}
-}
-
-// streamSnapshot reads the tree layer's streaming-parse counters in the obs
-// shape. Registered as the obs stream probe.
-func streamSnapshot() obs.StreamStats {
-	c := xmltree.StreamParseStats()
-	return obs.StreamStats{
-		ReaderParses:     c.ReaderParses,
-		ProjectedParses:  c.ProjectedParses,
-		BytesScanned:     c.BytesScanned,
-		ElementsRetained: c.ElementsRetained,
-		ElementsPruned:   c.ElementsPruned,
-	}
-}
-
-func init() {
-	obs.SetSharingProbe(sharingSnapshot)
-	obs.SetIndexProbe(indexSnapshot)
-	obs.SetStreamProbe(streamSnapshot)
-}
+func init() { obs.SetLayerProbe(layerStats) }
 
 // EvalString evaluates and serializes the result (nodes as XML, atomics as
 // string values, space-separated).
