@@ -9,7 +9,8 @@ import (
 // The index benchmarks pin the F4 corpus shapes as allocation-gated
 // regression tests (BENCH_index.json, cmd/benchcheck): one descendant name
 // scan and one folded attribute-equality probe, each indexed and as the
-// forced tree walk. The indexed variants' allocs/op is the gate — an index
+// forced tree walk, plus a child-existence predicate that asks the path
+// synopsis once per candidate. The indexed variants' allocs/op is the gate — an index
 // probe that starts copying node lists or rebuilding sections per
 // evaluation shows up there deterministically, whatever the runner's clock
 // does.
@@ -65,4 +66,10 @@ func BenchmarkIndexedAttrProbe(b *testing.B) {
 
 func BenchmarkTreeWalkAttrProbe(b *testing.B) {
 	benchEval(b, `count(//item[@k = 'k7'])`, false, "250")
+}
+
+// BenchmarkIndexedChildPredicate probes the synopsis (ChildMayExist) once
+// per item, so any per-probe allocation multiplies by 4000 here.
+func BenchmarkIndexedChildPredicate(b *testing.B) {
+	benchEval(b, `count(//item[title])`, true, "4000")
 }

@@ -22,10 +22,19 @@
 // bounded, deterministic backoff; a reload that still fails leaves the
 // previous snapshot serving — stale data beats no data, the degradation
 // the daemon's /readyz reports rather than hides.
+//
+// Every file is hashed (its size plus a maphash under a per-Store seed)
+// while it parses, so a reload re-parses only what changed: it reads and
+// hashes each file, reuses the frozen Doc of an unchanged one, and reuses
+// a whole Collection — its root and any index built on it — when the file
+// list and every hash match. A changed collection gets a fresh root, so
+// its index rebuilds on the first probe.
 package store
 
 import (
 	"fmt"
+	"hash/maphash"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,6 +60,9 @@ type Doc struct {
 	Root *xmltree.Node
 	// Bytes is the on-disk size of the source file.
 	Bytes int64
+	// sum hashes the source file's bytes under the store's seed; with
+	// Bytes it identifies an unchanged file on reload.
+	sum uint64
 }
 
 // Collection is one named set of documents plus its synthetic query root.
@@ -143,6 +155,7 @@ type Options struct {
 type Store struct {
 	dir  string
 	opts Options
+	seed maphash.Seed
 	snap atomic.Pointer[Snapshot]
 	vers atomic.Int64
 }
@@ -152,7 +165,7 @@ type Store struct {
 // parse — a daemon should refuse to start on a bad corpus rather than
 // serve an empty one.
 func Open(dir string, opts Options) (*Store, error) {
-	st := &Store{dir: dir, opts: opts}
+	st := &Store{dir: dir, opts: opts, seed: maphash.MakeSeed()}
 	if err := st.Reload(); err != nil {
 		return nil, err
 	}
@@ -166,9 +179,11 @@ func (st *Store) Snapshot() *Snapshot { return st.snap.Load() }
 func (st *Store) Dir() string { return st.dir }
 
 // Reload rebuilds a snapshot from the data directory and atomically swaps
-// it in. On failure the previous snapshot (if any) keeps serving and the
-// error is returned. Transient faults from the load hook are retried under
-// the configured backoff; permanent ones fail the reload at once.
+// it in. Unchanged files keep their frozen documents, and unchanged
+// collections keep their roots and indexes (see the package comment). On
+// failure the previous snapshot (if any) keeps serving and the error is
+// returned. Transient faults from the load hook are retried under the
+// configured backoff; permanent ones fail the reload at once.
 func (st *Store) Reload() error {
 	snap, err := st.load()
 	if err != nil {
@@ -184,11 +199,16 @@ func (st *Store) load() (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	// The serving snapshot's collections, by name (none on the first load).
+	var prev map[string]*Collection
+	if old := st.snap.Load(); old != nil {
+		prev = old.cols
+	}
 	snap := &Snapshot{cols: make(map[string]*Collection)}
 	var topLevel []string
 	for _, e := range entries {
 		if e.IsDir() {
-			col, err := st.loadCollection(e.Name(), filepath.Join(st.dir, e.Name()))
+			col, err := st.loadCollection(e.Name(), filepath.Join(st.dir, e.Name()), prev[e.Name()])
 			if err != nil {
 				return nil, err
 			}
@@ -202,7 +222,7 @@ func (st *Store) load() (*Snapshot, error) {
 		}
 	}
 	if len(topLevel) > 0 {
-		col, err := st.buildCollection(DefaultCollection, st.dir, topLevel)
+		col, err := st.buildCollection(DefaultCollection, st.dir, topLevel, prev[DefaultCollection])
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +235,7 @@ func (st *Store) load() (*Snapshot, error) {
 	return snap, nil
 }
 
-func (st *Store) loadCollection(name, dir string) (*Collection, error) {
+func (st *Store) loadCollection(name, dir string, prev *Collection) (*Collection, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: collection %q: %w", name, err)
@@ -229,61 +249,50 @@ func (st *Store) loadCollection(name, dir string) (*Collection, error) {
 	if len(files) == 0 {
 		return nil, nil // an empty subdirectory is not a collection
 	}
-	return st.buildCollection(name, dir, files)
+	return st.buildCollection(name, dir, files, prev)
 }
 
-// buildCollection parses files (already filtered to *.xml, made
-// deterministic by sorting) into a frozen Collection.
-func (st *Store) buildCollection(name, dir string, files []string) (*Collection, error) {
+// buildCollection loads files (already filtered to *.xml, made
+// deterministic by sorting) into a frozen Collection. Documents unchanged
+// since prev (the serving snapshot's collection of this name, or nil) are
+// reused, and so is prev itself when nothing changed.
+func (st *Store) buildCollection(name, dir string, files []string, prev *Collection) (*Collection, error) {
 	sort.Strings(files)
-	col := &Collection{Name: name}
-	root := xmltree.NewElement("collection")
-	root.SetAttr("name", name)
+	old := make(map[string]*Doc)
+	if prev != nil {
+		for i := range prev.Docs {
+			old[prev.Docs[i].Name] = &prev.Docs[i]
+		}
+	}
+	docs := make([]Doc, 0, len(files))
+	reused := 0
 	for _, f := range files {
-		path := filepath.Join(dir, f)
+		docName := strings.TrimSuffix(f, ".xml")
 		op := fmt.Sprintf("load(%q)", name+"/"+f)
-		// Parse straight off the file through the streaming reader: the raw
-		// bytes never exist as one in-memory string next to the tree. A
-		// retried attempt re-opens the file, so a transient fault mid-parse
-		// starts over from a clean scanner.
-		var doc *xmltree.Node
-		var bytes int64
-		err := faultinject.Retry(st.opts.Retry, func() error {
-			if st.opts.Hook != nil {
-				if err := st.opts.Hook(op); err != nil {
-					return err
-				}
-			}
-			fh, e := os.Open(path)
-			if e != nil {
-				return e
-			}
-			defer fh.Close()
-			if fi, e := fh.Stat(); e == nil {
-				bytes = fi.Size()
-			}
-			doc, e = xmltree.ParseReader(fh)
-			if e != nil {
-				return fmt.Errorf("parse: %w", e)
-			}
-			return nil
-		})
+		d, err := st.loadDoc(op, filepath.Join(dir, f), docName, old[docName])
 		if err != nil {
 			return nil, fmt.Errorf("store: %s: %w", op, err)
 		}
-		// Freeze the parsed document so it can anchor a structural/value
-		// index: fn:doc evaluations share one lazily-built index per
-		// document per snapshot, across requests and tenants.
-		xmltree.Freeze(doc)
-		docName := strings.TrimSuffix(f, ".xml")
-		col.Docs = append(col.Docs, Doc{Name: docName, Root: doc, Bytes: bytes})
-		col.Bytes += bytes
+		if o := old[docName]; o != nil && d.Root == o.Root {
+			reused++
+		}
+		docs = append(docs, d)
+	}
+	if prev != nil && reused == len(prev.Docs) && reused == len(files) {
+		// Same file list, same bytes: keep the root and its built index.
+		return prev, nil
+	}
+	col := &Collection{Name: name, Docs: docs}
+	root := xmltree.NewElement("collection")
+	root.SetAttr("name", name)
+	for _, d := range docs {
+		col.Bytes += d.Bytes
 		// Wrap a lazy COW clone of the document element: the clone
 		// freezes the parsed tree (so fn:doc serves frozen documents) and
 		// shares its storage with the collection root instead of copying.
 		wrap := xmltree.NewElement("doc")
-		wrap.SetAttr("name", docName)
-		if de := doc.DocumentElement(); de != nil {
+		wrap.SetAttr("name", d.Name)
+		if de := d.Root.DocumentElement(); de != nil {
 			wrap.AppendChild(de.Clone())
 		}
 		root.AppendChild(wrap)
@@ -293,11 +302,64 @@ func (st *Store) buildCollection(name, dir string, files []string) (*Collection,
 	// clones lazily, and the root becomes a valid index anchor — the first
 	// `//name` or `[@attr = 'v']` probe against the collection builds its
 	// structural/value index once, and every later request (any tenant)
-	// shares it. A reload builds a fresh snapshot with fresh roots, so old
-	// indexes are dropped atomically with the trees they describe.
+	// shares it. A reload that changes any file of the collection builds a
+	// fresh root, so the old index is dropped atomically with the tree it
+	// describes; an unchanged collection keeps both.
 	xmltree.Freeze(root)
 	col.Root = root
 	return col, nil
+}
+
+// loadDoc reads one file under the load hook (once per attempt) and the
+// retry policy, hashing it on the way. A file whose size and hash match
+// prev keeps prev's frozen tree and is not parsed; any other file is
+// parsed straight off the reader, so the raw bytes never exist as one
+// in-memory string next to the tree. A retried attempt re-opens the file,
+// so a transient fault mid-parse starts over from a clean scanner.
+func (st *Store) loadDoc(op, path, name string, prev *Doc) (Doc, error) {
+	d := Doc{Name: name}
+	err := faultinject.Retry(st.opts.Retry, func() error {
+		if st.opts.Hook != nil {
+			if err := st.opts.Hook(op); err != nil {
+				return err
+			}
+		}
+		fh, e := os.Open(path)
+		if e != nil {
+			return e
+		}
+		defer fh.Close()
+		d.Bytes = 0
+		if fi, e := fh.Stat(); e == nil {
+			d.Bytes = fi.Size()
+		}
+		var h maphash.Hash
+		h.SetSeed(st.seed)
+		if prev != nil && prev.Bytes == d.Bytes {
+			if _, e := io.Copy(&h, fh); e != nil {
+				return e
+			}
+			if h.Sum64() == prev.sum {
+				d.Root, d.sum = prev.Root, prev.sum
+				return nil
+			}
+			if _, e := fh.Seek(0, io.SeekStart); e != nil {
+				return e
+			}
+			h.Reset()
+		}
+		// A successful parse reads to EOF, so the hash covers the file.
+		doc, e := xmltree.ParseReader(io.TeeReader(fh, &h))
+		if e != nil {
+			return fmt.Errorf("parse: %w", e)
+		}
+		// Freeze the parsed document so it can anchor a structural/value
+		// index: fn:doc evaluations share one lazily-built index per
+		// document, across requests, tenants and the reloads that keep it.
+		d.Root, d.sum = xmltree.Freeze(doc), h.Sum64()
+		return nil
+	})
+	return d, err
 }
 
 // Index returns the collection's structural/value index, building the

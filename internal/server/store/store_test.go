@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lopsided/internal/faultinject"
+	"lopsided/internal/xmltree/index"
 	"lopsided/xq"
 )
 
@@ -230,11 +231,13 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 
 // TestSnapshotIndexLifecycle covers the index half of the reload contract:
 // collection roots are index-cacheable, the index state is reported per
-// collection, queries through the engine actually hit the index, and a
-// reload's fresh snapshot starts with no built indexes (the old ones are
-// dropped atomically with the trees they describe).
+// collection, queries through the engine actually hit the index, a reload
+// of an unchanged corpus keeps each root and its built index, and a reload
+// after a file changed gives that collection a fresh root with no built
+// index (the old one is dropped atomically with the tree it describes).
 func TestSnapshotIndexLifecycle(t *testing.T) {
-	st, err := Open(writeCorpus(t), Options{})
+	dir := writeCorpus(t)
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +291,8 @@ func TestSnapshotIndexLifecycle(t *testing.T) {
 		}
 	}
 
-	// Reload: the new snapshot's roots are fresh trees with no index built;
-	// the old snapshot (and its indexes) die together.
+	// Unchanged reload: a new snapshot, but the same collection root with
+	// its index still built.
 	if err := st.Reload(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,17 +300,95 @@ func TestSnapshotIndexLifecycle(t *testing.T) {
 	if snap2 == snap {
 		t.Fatal("reload did not swap the snapshot")
 	}
-	for _, info := range snap2.IndexState() {
-		if info.Built || info.AttrsBuilt {
-			t.Fatalf("fresh snapshot inherited a built index: %+v", info)
-		}
-	}
 	lib2, _ := snap2.Collection("library")
+	if lib2.Root != lib.Root {
+		t.Fatal("unchanged reload replaced the collection root")
+	}
+	if ix, ok := index.Peek(lib2.Root); !ok || !ix.Info().Built {
+		t.Fatal("unchanged reload dropped the built index")
+	}
 	out, err = q.EvalString(context.Background(), lib2.Root, xq.WithStats(&stats))
 	if err != nil || out != "3" {
 		t.Fatalf("post-reload eval: %q %v", out, err)
 	}
+	if stats.IndexBuilds != 0 {
+		t.Fatalf("unchanged reload rebuilt the index: %+v", stats)
+	}
+
+	// Changed file: that collection gets a fresh root and no inherited
+	// index, and the first probe rebuilds it.
+	if err := os.WriteFile(filepath.Join(dir, "library", "journals.xml"),
+		[]byte(`<lib><journal><title>SIGMOD</title><title>VLDB</title></journal></lib>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	snap3 := st.Snapshot()
+	for _, info := range snap3.IndexState() {
+		if info.Collection == "library" && (info.Built || info.AttrsBuilt) {
+			t.Fatalf("changed collection inherited a built index: %+v", info)
+		}
+	}
+	lib3, _ := snap3.Collection("library")
+	if lib3.Root == lib.Root {
+		t.Fatal("reload kept the root of a changed collection")
+	}
+	out, err = q.EvalString(context.Background(), lib3.Root, xq.WithStats(&stats))
+	if err != nil || out != "4" {
+		t.Fatalf("post-change eval: %q %v", out, err)
+	}
 	if stats.IndexBuilds == 0 {
-		t.Fatalf("post-reload eval did not rebuild the index: %+v", stats)
+		t.Fatalf("post-change eval did not rebuild the index: %+v", stats)
+	}
+}
+
+// TestReloadReparsesOnlyChangedDocs checks that a reload serves a changed
+// document's new content — also when its size did not change — while an
+// unchanged document of the same collection keeps its frozen tree and
+// untouched collections are reused whole.
+func TestReloadReparsesOnlyChangedDocs(t *testing.T) {
+	dir := writeCorpus(t)
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Snapshot()
+	lib, _ := before.Collection("library")
+	awb, _ := before.Collection("awb")
+	// Same length as the original, different bytes.
+	if err := os.WriteFile(filepath.Join(dir, "library", "books.xml"),
+		[]byte(`<lib><book><title>Lopsidee</title></book><book><title>Littlf</title></book></lib>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	after := st.Snapshot()
+	lib2, _ := after.Collection("library")
+	if lib2 == lib {
+		t.Fatal("a changed collection was reused whole")
+	}
+	if lib2.Docs[0].Root == lib.Docs[0].Root {
+		t.Fatal("the changed document kept its old tree")
+	}
+	if lib2.Docs[1].Root != lib.Docs[1].Root {
+		t.Fatal("the unchanged document was re-parsed")
+	}
+	if awb2, _ := after.Collection("awb"); awb2 != awb {
+		t.Fatal("an unchanged collection was rebuilt")
+	}
+	q := xq.MustCompile(`for $t in /collection//title return string($t)`)
+	out, err := q.EvalString(context.Background(), lib2.Root)
+	if err != nil || out != "Lopsidee Littlf SIGMOD" {
+		t.Fatalf("collection query after reload = %q, %v", out, err)
+	}
+	doc, err := after.Resolver("library")("books")
+	if err != nil || doc.DocumentElement().StringValue() != "LopsideeLittlf" {
+		t.Fatalf("fn:doc after reload: %v", err)
+	}
+	// The old snapshot still serves the old content.
+	if out, _ := q.EvalString(context.Background(), lib.Root); out != "Lopsided Little SIGMOD" {
+		t.Fatalf("old snapshot changed after reload: %q", out)
 	}
 }

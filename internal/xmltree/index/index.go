@@ -7,9 +7,10 @@
 //   - element-name index: name → every element of that name, in document
 //     order, each tagged with its pre-order number so a scan can be scoped
 //     to any subtree by binary search (pre/post interval containment);
-//   - path synopsis: the set of distinct root-to-element label paths, which
-//     answers "can child::name under this context be non-empty?" without
-//     touching the child list;
+//   - path synopsis: the distinct root-to-element label paths, each with an
+//     integer id keyed by (parent path id, element name), which answers "can
+//     child::name under this context be non-empty?" with two map lookups
+//     and no allocation, without touching the child list;
 //   - attribute/value index: (attribute name, exact string value) → the
 //     owning elements in document order, for `[@attr = 'v']` probes.
 //
@@ -39,7 +40,6 @@ package index
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,9 +86,20 @@ func NoteFallback() { fallbacks.Add(1) }
 
 // span is a node's pre-order interval: the node's own pre number and the
 // largest pre number in its subtree. Element d is a strict descendant of
-// element a iff a.pre < d.pre <= a.end.
+// element a iff a.pre < d.pre <= a.end. path is the id of the node's label
+// path in the synopsis.
 type span struct {
 	pre, end int32
+	path     int32
+}
+
+// pathStep keys the synopsis: the label path reached by stepping from the
+// path with id parent into a child element named name. The empty path above
+// the indexed root has id 0; a document node takes its parent's id, since
+// it adds no label.
+type pathStep struct {
+	parent int32
+	name   string
 }
 
 // nodeList is a document-ordered element list with parallel pre numbers, so
@@ -123,9 +134,10 @@ type DocIndex struct {
 	names map[string]*nodeList
 	// elems lists every element in document order (feeds the value index).
 	elems nodeList
-	// paths is the synopsis: every distinct root-to-element label path,
-	// rendered "/a/b/c" relative to the indexed root.
-	paths map[string]struct{}
+	// kids is the synopsis: every distinct root-to-element label path
+	// (relative to the indexed root), as the id reached by one step from
+	// its parent path.
+	kids map[pathStep]int32
 
 	attrOnce sync.Once
 	attrDone atomic.Bool
@@ -179,7 +191,7 @@ func (ix *DocIndex) Info() Info {
 	if info.Built {
 		info.Elements = len(ix.elems.nodes)
 		info.Names = len(ix.names)
-		info.Paths = len(ix.paths)
+		info.Paths = len(ix.kids)
 	}
 	if info.AttrsBuilt {
 		info.AttrKeys = len(ix.attrs)
@@ -195,15 +207,20 @@ func (ix *DocIndex) ensureStruct() {
 		start := time.Now()
 		ix.ord = make(map[*xmltree.Node]span)
 		ix.names = make(map[string]*nodeList)
-		ix.paths = make(map[string]struct{})
+		ix.kids = make(map[pathStep]int32)
 		var pre int32
-		var walk func(n *xmltree.Node, path string)
-		walk = func(n *xmltree.Node, path string) {
+		var walk func(n *xmltree.Node, path int32)
+		walk = func(n *xmltree.Node, path int32) {
 			pre++
 			p := pre
 			if n.Kind == xmltree.ElementNode {
-				path += "/" + n.Name
-				ix.paths[path] = struct{}{}
+				k := pathStep{parent: path, name: n.Name}
+				id, seen := ix.kids[k]
+				if !seen {
+					id = int32(len(ix.kids)) + 1
+					ix.kids[k] = id
+				}
+				path = id
 				nl := ix.names[n.Name]
 				if nl == nil {
 					nl = &nodeList{}
@@ -217,9 +234,9 @@ func (ix *DocIndex) ensureStruct() {
 					walk(c, path)
 				}
 			}
-			ix.ord[n] = span{pre: p, end: pre}
+			ix.ord[n] = span{pre: p, end: pre, path: path}
 		}
-		walk(ix.root, "")
+		walk(ix.root, 0)
 		builds.Add(1)
 		buildNanos.Add(time.Since(start).Nanoseconds())
 		ix.structDone.Store(true)
@@ -371,40 +388,17 @@ func (ix *DocIndex) ChildMayExist(ctx *xmltree.Node, name string) (exists, answe
 		return false, true
 	}
 	ix.ensureStruct()
-	if _, found := ix.ord[ctx]; !found {
+	sp, found := ix.ord[ctx]
+	if !found {
 		fallbacks.Add(1)
 		return true, false
 	}
-	_, ok := ix.paths[ix.pathOf(ctx)+"/"+name]
-	if !ok {
+	if _, ok := ix.kids[pathStep{parent: sp.path, name: name}]; !ok {
 		prunes.Add(1)
 		return false, true
 	}
 	fallbacks.Add(1)
 	return true, true
-}
-
-// pathOf renders ctx's root-to-node label path relative to the indexed
-// root, matching the synopsis's rendering.
-func (ix *DocIndex) pathOf(ctx *xmltree.Node) string {
-	var segs []string
-	for n := ctx; n != nil; n = n.Parent {
-		if n.Kind == xmltree.ElementNode {
-			segs = append(segs, n.Name)
-		}
-		if n == ix.root {
-			break
-		}
-	}
-	if len(segs) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i := len(segs) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(segs[i])
-	}
-	return b.String()
 }
 
 // AttrAnyEq reports whether n carries any attribute named attr whose string

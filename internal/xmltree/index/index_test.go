@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -176,6 +178,70 @@ func TestChildMayExistSynopsis(t *testing.T) {
 	foreign := xmltree.NewElement("x")
 	if _, answered := ix.ChildMayExist(foreign, "item"); answered {
 		t.Fatal("synopsis answered for a node outside the tree")
+	}
+}
+
+// TestChildMayExistMatchesLabelPaths checks the id-keyed synopsis against
+// rendered label paths: for every container of every test document and
+// every element name (plus one absent name), ChildMayExist answers "may
+// exist" exactly when the path "<container's path>/<name>" occurs in the
+// tree. It also pins that the probe allocates nothing.
+func TestChildMayExistMatchesLabelPaths(t *testing.T) {
+	files, err := filepath.Glob("../../../testdata/*.xml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no test documents: %v", err)
+	}
+	srcs := map[string]string{"inline": doc}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(f)] = string(b)
+	}
+	for name, src := range srcs {
+		d, err := xmltree.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		xmltree.Freeze(d)
+		ix, _ := For(d)
+		label := map[*xmltree.Node]string{}
+		paths := map[string]bool{}
+		elemNames := map[string]bool{"absent-name": true}
+		var containers []*xmltree.Node
+		var walk func(n *xmltree.Node, path string)
+		walk = func(n *xmltree.Node, path string) {
+			if n.Kind == xmltree.ElementNode {
+				path += "/" + n.Name
+				paths[path] = true
+				elemNames[n.Name] = true
+			}
+			label[n] = path
+			containers = append(containers, n)
+			for _, c := range n.Children() {
+				if c.Kind == xmltree.ElementNode {
+					walk(c, path)
+				}
+			}
+		}
+		walk(d, "")
+		for _, ctx := range containers {
+			for el := range elemNames {
+				exists, answered := ix.ChildMayExist(ctx, el)
+				if want := paths[label[ctx]+"/"+el]; !answered || exists != want {
+					t.Fatalf("%s: ChildMayExist(%q, %q) = %v, %v; want %v, true",
+						name, label[ctx], el, exists, answered, want)
+				}
+			}
+		}
+		if got := ix.Info().Paths; got != len(paths) {
+			t.Errorf("%s: Info().Paths = %d, want %d distinct label paths", name, got, len(paths))
+		}
+		ctx, el := containers[len(containers)-1], "absent-name"
+		if allocs := testing.AllocsPerRun(100, func() { ix.ChildMayExist(ctx, el) }); allocs != 0 {
+			t.Errorf("%s: ChildMayExist allocates %v times per probe, want 0", name, allocs)
+		}
 	}
 }
 

@@ -62,9 +62,10 @@ func (a *accessPlan) probe(ctx *xmltree.Node) (nodes []*xmltree.Node, served boo
 	return nil, false
 }
 
-// stepPlan is one compiled path step: an axis step (axisFunc+test) or a
-// filter step (primary non-nil), each with predicates.
+// stepPlan is one compiled path step: an axis step (axis, axisFunc+test)
+// or a filter step (primary non-nil), each with predicates.
 type stepPlan struct {
+	axis     ast.Axis
 	axisFunc func(*xmltree.Node) []*xmltree.Node
 	test     func(*xmltree.Node) bool
 	access   *accessPlan
@@ -99,6 +100,7 @@ func (cp *compiler) compileStep(st ast.Step) stepPlan {
 	if st.Primary != nil {
 		sp.primary = cp.compile(st.Primary)
 	} else {
+		sp.axis = st.Axis
 		sp.axisFunc = axisFunc(st.Axis)
 		sp.test = makeTest(st.Test, st.Axis)
 		sp.access = cp.compileAccess(st)
@@ -212,7 +214,7 @@ func (p *pathPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 	case ast.RootNone:
 		// First step runs against the current focus (axis steps) or no
 		// input at all (filter steps such as variables and literals).
-		return p.evalSteps(c, nil)
+		return p.evalSteps(c, nil, antichain)
 	case ast.RootSlash, ast.RootSlashSlash:
 		it, err := c.FocusItem()
 		if err != nil {
@@ -224,26 +226,80 @@ func (p *pathPlan) eval(c *evalCtx) (xdm.Sequence, error) {
 		}
 		root := node.Root()
 		current = xdm.Singleton(xdm.NewNode(root))
+		fact := antichain
 		if p.root == ast.RootSlashSlash {
 			// Leading // is /descendant-or-self::node()/ before the steps.
 			current = xdm.FromNodes(xmltree.DescendantOrSelfAxis(root))
+			fact = ordered
 		}
 		if len(p.steps) == 0 {
 			return current, nil
 		}
-		return p.evalSteps(c, current)
+		return p.evalSteps(c, current, fact)
 	}
 	return current, nil
 }
 
+// order is what evalSteps has proven about the order of a node sequence.
+// A step whose output order is proven skips the document-order sort, which
+// would return its input unchanged.
+type order uint8
+
+const (
+	unproven  order = iota
+	ordered         // document order (xmltree.SortDocOrder's), no duplicates
+	antichain       // ordered, and no item is an ancestor of another
+)
+
+// after returns the order a step's output is proven to have, given the
+// proven order of its input and whether that input is a single item (which
+// is trivially an antichain). Predicates only drop items, so they keep the
+// proof. Filter steps, reverse axes and parent are never proven.
+func (sp *stepPlan) after(in order, single bool) order {
+	if single {
+		in = antichain
+	}
+	if sp.primary != nil {
+		return unproven
+	}
+	switch sp.axis {
+	case ast.AxisChild:
+		// Children of disjoint subtrees, taken subtree by subtree.
+		if in == antichain {
+			return antichain
+		}
+	case ast.AxisAttribute:
+		// An element's attributes follow it and precede its children, and
+		// stay in its tree's group: input order carries over.
+		if in >= ordered {
+			return antichain
+		}
+	case ast.AxisSelf:
+		return in
+	case ast.AxisDescendant, ast.AxisDescendantOrSelf:
+		// Whole disjoint subtrees in document order (index probes list
+		// descendants in document order too).
+		if in == antichain {
+			return ordered
+		}
+	case ast.AxisFollowingSibling, ast.AxisFollowing:
+		if single {
+			return ordered
+		}
+	}
+	return unproven
+}
+
 // evalSteps applies each step in order. input nil means "use current focus
 // for axis steps, nothing for filter steps" (the first step of a relative
-// path).
-func (p *pathPlan) evalSteps(c *evalCtx, input xdm.Sequence) (xdm.Sequence, error) {
+// path). fact is the proven order of input (of the focus item when input is
+// nil).
+func (p *pathPlan) evalSteps(c *evalCtx, input xdm.Sequence, fact order) (xdm.Sequence, error) {
 	current := input
 	saved := c.focus
 	for si := range p.steps {
 		sp := &p.steps[si]
+		fact = sp.after(fact, current == nil || len(current) == 1)
 		var result xdm.Sequence
 		if current == nil {
 			// First step of a relative path: axis steps need the enclosing
@@ -271,20 +327,23 @@ func (p *pathPlan) evalSteps(c *evalCtx, input xdm.Sequence) (xdm.Sequence, erro
 			}
 			c.focus = saved
 		}
-		// Normalize node results into document order; mixed node/atomic
-		// results are illegal; pure atomic results are allowed only in the
-		// final step.
-		hasNode, hasAtomic := classify(result)
+		// Normalize node results into document order unless already proven;
+		// mixed node/atomic results are illegal; pure atomic results are
+		// allowed only in the final step. Axis steps yield only nodes.
+		hasNode, hasAtomic := len(result) > 0, false
+		if sp.primary != nil {
+			hasNode, hasAtomic = classify(result)
+		}
 		switch {
 		case hasNode && hasAtomic:
 			return nil, &Error{Code: "XPTY0018", Pos: sp.pos,
 				Msg: "path step produced both nodes and atomic values"}
-		case hasNode:
+		case hasNode && fact == unproven:
 			sorted, err := xdm.SortDoc(result)
 			if err != nil {
 				return nil, errAt(err, sp.pos)
 			}
-			result = sorted
+			result, fact = sorted, ordered
 		case hasAtomic && si < len(p.steps)-1:
 			return nil, &Error{Code: "XPTY0019", Pos: p.steps[si+1].pos,
 				Msg: "path step applied to atomic values"}

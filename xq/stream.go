@@ -93,13 +93,13 @@ func CompileStream(src string, opts ...Option) (*StreamQuery, error) {
 
 // Mode reports the tier EvalReader would use under the query's compile-time
 // options (per-eval options can change it; see EvalReader).
-func (q *StreamQuery) Mode() StreamMode { return q.mode(q.cfg) }
+func (q *StreamQuery) Mode() StreamMode { return q.mode(&q.cfg) }
 
 // mode resolves the tier for one evaluation's effective config. Full
 // streaming additionally requires that no resource limits are configured:
 // the SAX evaluator cannot charge step/node/output budgets, and silently
 // ignoring a sandbox would be worse than materializing.
-func (q *StreamQuery) mode(cfg config) StreamMode {
+func (q *StreamQuery) mode(cfg *config) StreamMode {
 	if !cfg.noStreamEval && q.plan != nil && cfg.limits == (Limits{}) {
 		return StreamFull
 	}
@@ -130,14 +130,14 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 		err             error
 	)
 	if mode == StreamFull {
-		err = q.observe(&cfg, "eval", func() (err error) {
+		err = q.observe(cfg, "eval", func() (err error) {
 			var sst stream.Stats
 			out, sst, err = q.plan.Run(r, xmltree.ParseOptions{})
 			scanned = sst.BytesScanned
 			return err
 		})
 	} else {
-		out, scanned, pruned, err = q.evalTree(ctx, &cfg, opts, mode, r)
+		out, scanned, pruned, err = q.evalTree(ctx, cfg, opts, mode, r)
 	}
 	if cfg.stats != nil {
 		cfg.stats.StreamMode = mode.String()
@@ -154,17 +154,19 @@ func (q *StreamQuery) EvalReader(ctx context.Context, r io.Reader, opts ...Optio
 // answer a single lookup the tree walk answers.
 func (q *StreamQuery) evalTree(ctx context.Context, cfg *config, opts []Option, mode StreamMode, r io.Reader) (out string, scanned, pruned int64, err error) {
 	var doc *Node
+	cr := &countingReader{r: r}
 	if mode == StreamProjected {
 		var pst xmltree.ProjStats
-		doc, pst, err = xmltree.ParseProjectedUnfrozen(r, q.proj, xmltree.ParseOptions{})
+		doc, pst, err = xmltree.ParseProjectedUnfrozen(cr, q.proj, xmltree.ParseOptions{})
 		scanned, pruned = pst.BytesRead, pst.ElementsPruned
 	} else {
-		cr := &countingReader{r: r}
 		doc, err = xmltree.ParseReader(cr)
 		scanned = cr.n
 	}
 	if err != nil {
-		return "", scanned, pruned, q.observe(cfg, "eval", func() error { return err })
+		// A failed projected parse reports zero stats; the reader still
+		// knows how far the scan got.
+		return "", cr.n, pruned, q.observe(cfg, "eval", func() error { return err })
 	}
 	seq, err := q.eval(ctx, q.runtime(cfg, opts), cfg, doc)
 	if err != nil {
@@ -173,8 +175,9 @@ func (q *StreamQuery) evalTree(ctx context.Context, cfg *config, opts []Option, 
 	return Serialize(seq), scanned, pruned, nil
 }
 
-// countingReader counts the bytes the materializing parse consumed, so the
-// fallback tier reports scanned-bytes like the streaming ones.
+// countingReader counts the bytes a tree parse consumed, so the materialize
+// tier, and either tree tier's failed parse, report scanned-bytes like the
+// full-stream tier.
 type countingReader struct {
 	r io.Reader
 	n int64

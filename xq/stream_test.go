@@ -171,6 +171,25 @@ func TestEvalReaderParseFailureObserved(t *testing.T) {
 	}
 }
 
+// TestEvalReaderParseFailureScannedBytes pins that both tree tiers report
+// how far a failed parse read, not zero.
+func TestEvalReaderParseFailureScannedBytes(t *testing.T) {
+	const bad = `<d><i>1</i>`
+	for _, opts := range [][]Option{
+		{WithStreamEval(false)},
+		{WithStreamEval(false), WithProjection(false)},
+	} {
+		q := compileStream(t, `sum(//i)`, opts...)
+		var st EvalStats
+		if _, err := q.EvalReader(context.Background(), strings.NewReader(bad), WithStats(&st)); err == nil {
+			t.Fatalf("%v: malformed document evaluated without error", q.Mode())
+		}
+		if st.BytesScanned != int64(len(bad)) {
+			t.Errorf("%v: scanned-bytes=%d after a failed parse, want %d", q.Mode(), st.BytesScanned, len(bad))
+		}
+	}
+}
+
 func TestStreamLimitsForceFallback(t *testing.T) {
 	// The SAX evaluator cannot charge resource budgets, so configured limits
 	// must push the query down a tier rather than bypass the sandbox.

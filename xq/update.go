@@ -79,9 +79,9 @@ func (q *Query) Transform(ctx context.Context, doc *Node, opts ...Option) (*Node
 		return nil, &interp.Error{Code: "XPST0003",
 			Msg: "Transform called on a query program (compile with CompileUpdate)"}
 	}
-	ip := q.runtime(&cfg, opts)
+	ip := q.runtime(cfg, opts)
 	var out *Node
-	err := q.observe(&cfg, "transform", func() (err error) {
+	err := q.observe(cfg, "transform", func() (err error) {
 		out, err = ip.Transform(ctx, doc, cfg.vars, cfg.stats, cfg.eagerApply)
 		return err
 	})

@@ -444,16 +444,21 @@ func (q *Query) Eval(ctx context.Context, doc *Node, opts ...Option) (Sequence, 
 		return nil, &interp.Error{Code: "XPST0003",
 			Msg: "Eval called on an update program (use Transform)"}
 	}
-	return q.eval(ctx, q.runtime(&cfg, opts), &cfg, doc)
+	return q.eval(ctx, q.runtime(cfg, opts), cfg, doc)
 }
 
-// configure returns the query's defaults with one call's opts applied.
-func (q *Query) configure(opts []Option) config {
+// configure returns the query's defaults with one call's opts applied. With
+// no opts it returns the defaults themselves, which callers only read, so
+// the common call copies (and heap-allocates) no config.
+func (q *Query) configure(opts []Option) *config {
+	if len(opts) == 0 {
+		return &q.cfg
+	}
 	cfg := q.cfg
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return cfg
+	return &cfg
 }
 
 // runtime returns the interpreter for one call configured by cfg from
